@@ -1,19 +1,11 @@
 // Command mdbench regenerates the paper's evaluation figures as tables
-// (and optional CSV or JSON): Fig. 7 (skew-canceling timing), Fig. 8
-// (adaptive component binding sweep), Fig. 9 (static binding sweep),
-// Fig. 10 (comparative total cost), the demo-2 clone-dispatch fan-out,
-// the cluster churn experiment (gossip convergence + failover latency,
-// with and without snapshot-state replication), the flapping-link
-// experiment (false-positive suspicion under link flap), the delta sweep
-// (replicated bytes per capture tick, full-frame vs delta pipeline,
-// across app sizes), the durability experiment (kill-after-write record
-// loss and per-write latency across write concerns), the membership
-// scale sweep (bounded gossip dissemination at 200-1,000 simulated
-// hosts vs the full-table baseline), the storage-engine experiment
-// (sustained writes/sec and p99 put latency at 1M+ resident records,
-// seed single-lock store vs the PR 8 engine, plus a kill-mid-commit
-// crash audit), and the suspicion-timeout sweep (detection latency vs
-// false-positive rate à la Lifeguard).
+// (and optional CSV or JSON): the paper's Figs. 7-10 and demo-2 on the
+// calibrated virtual testbed, plus the experiments the reproduction
+// grew — cluster churn and failover, link flap, delta replication,
+// write-concern durability, the control plane, observability overhead,
+// membership scale, the storage engine, suspicion timeouts and bundle
+// distribution. Every figure, with the flags only it reads, is one
+// entry of the figures table; `mdbench -h` lists them.
 //
 // Usage:
 //
@@ -75,84 +67,135 @@ func main() {
 	}
 }
 
+// env is what a figure's run function writes to — the table output,
+// the CSV sidecar and the JSON document — plus the flag the federation
+// figures share.
+type env struct {
+	out    io.Writer
+	csv    *strings.Builder
+	doc    map[string]any
+	spaces int // smart spaces for the churn, flap and durability experiments
+}
+
+// figure is one regenerable result. flags registers the flags only this
+// figure reads and returns its run function, which sees their parsed
+// values.
+type figure struct {
+	name  string
+	flags func(fs *flag.FlagSet) (run func(e *env) error)
+}
+
+// noFlags is the flags function of a figure with no flags of its own.
+func noFlags(run func(e *env) error) func(*flag.FlagSet) func(*env) error {
+	return func(*flag.FlagSet) func(*env) error { return run }
+}
+
+// figures is the single declaration of every figure, in -fig all
+// order: the -fig help text, the name check and "all" derive from it.
+var figures = []figure{
+	{"7", noFlags(func(e *env) error { return fig7(e.out, e.csv, e.doc) })},
+	{"8", noFlags(func(e *env) error { return fig8(e.out, e.csv, e.doc) })},
+	{"9", noFlags(func(e *env) error { return fig9(e.out, e.csv, e.doc) })},
+	{"10", noFlags(func(e *env) error { return fig10(e.out, e.csv, e.doc) })},
+	{"clone", func(fs *flag.FlagSet) func(*env) error {
+		rooms := fs.Int("rooms", 3, "overflow rooms for the clone-dispatch experiment")
+		return func(e *env) error { return clone(e.out, e.csv, e.doc, *rooms) }
+	}},
+	{"churn", func(fs *flag.FlagSet) func(*env) error {
+		songBytes := fs.Int64("song-bytes", 2_000_000, "song size for the churn experiment (sets the snapshot frame size)")
+		return func(e *env) error { return churn(e.out, e.csv, e.doc, e.spaces, *songBytes) }
+	}},
+	{"flap", func(fs *flag.FlagSet) func(*env) error {
+		period := fs.Duration("flap-period", 10*time.Millisecond, "link toggle half-period for the flap experiment")
+		cycles := fs.Int("flap-cycles", 20, "down/up toggles for the flap experiment")
+		return func(e *env) error { return flap(e.out, e.csv, e.doc, e.spaces, *period, *cycles) }
+	}},
+	{"delta", func(fs *flag.FlagSet) func(*env) error {
+		ticks := fs.Int("delta-ticks", 16, "mutated capture ticks per cell of the delta sweep")
+		return func(e *env) error { return delta(e.out, e.csv, e.doc, *ticks) }
+	}},
+	{"durability", func(fs *flag.FlagSet) func(*env) error {
+		writes := fs.Int("dur-writes", 16, "writes per phase and record kind for the durability experiment")
+		return func(e *env) error { return durability(e.out, e.csv, e.doc, e.spaces, *writes) }
+	}},
+	{"ctl", func(fs *flag.FlagSet) func(*env) error {
+		requests := fs.Int("ctl-requests", 2000, "round-trip requests for the control-plane experiment")
+		watchers := fs.Int("ctl-watchers", 16, "concurrent watchers for the control-plane fan-out experiment")
+		events := fs.Int("ctl-events", 512, "events published to the control-plane watchers")
+		return func(e *env) error { return ctlFig(e.out, e.csv, e.doc, *requests, *watchers, *events) }
+	}},
+	{"obs", func(fs *flag.FlagSet) func(*env) error {
+		iters := fs.Int("obs-iters", 1_000_000, "raw metric-op iterations for the observability overhead experiment")
+		return func(e *env) error { return obsFig(e.out, e.csv, e.doc, *iters) }
+	}},
+	{"members", func(fs *flag.FlagSet) func(*env) error {
+		hosts := fs.String("members-hosts", "200,500,1000", "host counts for the membership scale sweep (comma-separated)")
+		return func(e *env) error { return members(e.out, e.csv, e.doc, *hosts) }
+	}},
+	{"store", func(fs *flag.FlagSet) func(*env) error {
+		records := fs.Int("store-records", 1_000_000, "resident records preloaded for the storage-engine experiment")
+		ops := fs.Int("store-ops", 200_000, "measured mixed writes for the storage-engine experiment")
+		writers := fs.Int("store-writers", 8, "concurrent writers for the storage-engine experiment")
+		valueBytes := fs.Int("store-value-bytes", 128, "registry record size for the storage-engine experiment")
+		blobEvery := fs.Int("store-blob-every", 64, "every Nth write is a snapshot frame (0 disables)")
+		blobBytes := fs.Int("store-blob-bytes", 256<<10, "snapshot frame size for the storage-engine experiment")
+		crashTrials := fs.Int("store-crash-trials", 3, "kill-mid-commit audit trials (0 disables)")
+		crashAfter := fs.Duration("store-crash-after", 250*time.Millisecond, "base writer lifetime before the mid-commit SIGKILL")
+		return func(e *env) error {
+			cfg := bench.StoreConfig{Records: *records, Writers: *writers, Ops: *ops,
+				ValueBytes: *valueBytes, BlobEvery: *blobEvery, BlobBytes: *blobBytes}
+			return storeFig(e.out, e.csv, e.doc, cfg, *crashTrials, *crashAfter)
+		}
+	}},
+	{"suspicion", func(fs *flag.FlagSet) func(*env) error {
+		hosts := fs.Int("suspicion-hosts", 12, "hosts for the suspicion-timeout sweep")
+		cycles := fs.Int("suspicion-cycles", 6, "freeze/recover cycles per timeout for the suspicion sweep")
+		blip := fs.Duration("suspicion-blip", 50*time.Millisecond, "freeze duration per cycle for the suspicion sweep")
+		timeouts := fs.String("suspicion-timeouts", "10ms,25ms,50ms,100ms,250ms,500ms", "SuspicionTimeout values to sweep (comma-separated durations)")
+		return func(e *env) error { return suspicion(e.out, e.csv, e.doc, *hosts, *cycles, *blip, *timeouts) }
+	}},
+	{"bundle", func(fs *flag.FlagSet) func(*env) error {
+		hosts := fs.Int("bundle-hosts", 16, "installing hosts for the bundle fan-out experiment")
+		stateBytes := fs.Int("bundle-state-bytes", 256<<10, "initial-state payload packed into the benchmark bundle")
+		return func(e *env) error { return bundleFig(e.out, e.csv, e.doc, *hosts, *stateBytes) }
+	}},
+}
+
 // run is the testable body of mdbench.
 func run(args []string, out io.Writer) error {
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
+	}
 	fs := flag.NewFlagSet("mdbench", flag.ContinueOnError)
 	fs.SetOutput(out)
-	fig := fs.String("fig", "all", "figures to regenerate (comma-separated): 7, 8, 9, 10, clone, churn, flap, delta, durability, ctl, obs, members, store, suspicion, bundle, or all")
+	fig := fs.String("fig", "all", "figures to regenerate (comma-separated): "+strings.Join(names, ", ")+", or all")
 	csvPath := fs.String("csv", "", "also write the series as CSV to this file")
 	jsonPath := fs.String("json", "", "also write every figure that ran as one JSON document to this file")
-	rooms := fs.Int("rooms", 3, "overflow rooms for the clone-dispatch experiment")
 	spaces := fs.Int("spaces", 3, "smart spaces for the churn, flap and durability experiments (>= 3)")
-	flapPeriod := fs.Duration("flap-period", 10*time.Millisecond, "link toggle half-period for the flap experiment")
-	flapCycles := fs.Int("flap-cycles", 20, "down/up toggles for the flap experiment")
-	songBytes := fs.Int64("song-bytes", 2_000_000, "song size for the churn experiment (sets the snapshot frame size)")
-	deltaTicks := fs.Int("delta-ticks", 16, "mutated capture ticks per cell of the delta sweep")
-	durWrites := fs.Int("dur-writes", 16, "writes per phase and record kind for the durability experiment")
-	ctlRequests := fs.Int("ctl-requests", 2000, "round-trip requests for the control-plane experiment")
-	ctlWatchers := fs.Int("ctl-watchers", 16, "concurrent watchers for the control-plane fan-out experiment")
-	ctlEvents := fs.Int("ctl-events", 512, "events published to the control-plane watchers")
-	obsIters := fs.Int("obs-iters", 1_000_000, "raw metric-op iterations for the observability overhead experiment")
-	membersHosts := fs.String("members-hosts", "200,500,1000", "host counts for the membership scale sweep (comma-separated)")
-	membersBaseline := fs.String("members-baseline-hosts", "200,500", "host counts re-run with full-table gossip as the baseline (comma-separated; empty disables)")
-	storeRecords := fs.Int("store-records", 1_000_000, "resident records preloaded for the storage-engine experiment")
-	storeOps := fs.Int("store-ops", 200_000, "measured mixed writes for the storage-engine experiment")
-	storeWriters := fs.Int("store-writers", 8, "concurrent writers for the storage-engine experiment")
-	storeValueBytes := fs.Int("store-value-bytes", 128, "registry record size for the storage-engine experiment")
-	storeBlobEvery := fs.Int("store-blob-every", 64, "every Nth write is a snapshot frame (0 disables)")
-	storeBlobBytes := fs.Int("store-blob-bytes", 256<<10, "snapshot frame size for the storage-engine experiment")
-	storeCrashTrials := fs.Int("store-crash-trials", 3, "kill-mid-commit audit trials (0 disables)")
-	storeCrashAfter := fs.Duration("store-crash-after", 250*time.Millisecond, "base writer lifetime before the mid-commit SIGKILL")
-	suspHosts := fs.Int("suspicion-hosts", 12, "hosts for the suspicion-timeout sweep")
-	suspCycles := fs.Int("suspicion-cycles", 6, "freeze/recover cycles per timeout for the suspicion sweep")
-	suspBlip := fs.Duration("suspicion-blip", 50*time.Millisecond, "freeze duration per cycle for the suspicion sweep")
-	suspTimeouts := fs.String("suspicion-timeouts", "10ms,25ms,50ms,100ms,250ms,500ms", "SuspicionTimeout values to sweep (comma-separated durations)")
-	bundleHosts := fs.Int("bundle-hosts", 16, "installing hosts for the bundle fan-out experiment")
-	bundleStateBytes := fs.Int("bundle-state-bytes", 256<<10, "initial-state payload packed into the benchmark bundle")
+	runs := make(map[string]func(*env) error, len(figures))
+	for _, f := range figures {
+		runs[f.name] = f.flags(fs)
+	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	var csv strings.Builder
-	doc := map[string]any{}
-	figures := map[string]func() error{
-		"7":          func() error { return fig7(out, &csv, doc) },
-		"8":          func() error { return fig8(out, &csv, doc) },
-		"9":          func() error { return fig9(out, &csv, doc) },
-		"10":         func() error { return fig10(out, &csv, doc) },
-		"clone":      func() error { return clone(out, &csv, doc, *rooms) },
-		"churn":      func() error { return churn(out, &csv, doc, *spaces, *songBytes) },
-		"flap":       func() error { return flap(out, &csv, doc, *spaces, *flapPeriod, *flapCycles) },
-		"delta":      func() error { return delta(out, &csv, doc, *deltaTicks) },
-		"durability": func() error { return durability(out, &csv, doc, *spaces, *durWrites) },
-		"ctl":        func() error { return ctlFig(out, &csv, doc, *ctlRequests, *ctlWatchers, *ctlEvents) },
-		"obs":        func() error { return obsFig(out, &csv, doc, *obsIters) },
-		"members":    func() error { return members(out, &csv, doc, *membersHosts, *membersBaseline) },
-		"store": func() error {
-			cfg := bench.StoreConfig{Records: *storeRecords, Writers: *storeWriters, Ops: *storeOps,
-				ValueBytes: *storeValueBytes, BlobEvery: *storeBlobEvery, BlobBytes: *storeBlobBytes}
-			return storeFig(out, &csv, doc, cfg, *storeCrashTrials, *storeCrashAfter)
-		},
-		"suspicion": func() error {
-			return suspicion(out, &csv, doc, *suspHosts, *suspCycles, *suspBlip, *suspTimeouts)
-		},
-		"bundle": func() error { return bundleFig(out, &csv, doc, *bundleHosts, *bundleStateBytes) },
-	}
-	all := []string{"7", "8", "9", "10", "clone", "churn", "flap", "delta", "durability", "ctl", "obs", "members", "store", "suspicion", "bundle"}
-	var order []string
-	if *fig == "all" {
-		order = all
-	} else {
+	order := names
+	if *fig != "all" {
+		order = nil
 		for _, name := range strings.Split(*fig, ",") {
 			name = strings.TrimSpace(name)
-			if _, ok := figures[name]; !ok {
-				return fmt.Errorf("unknown figure %q (want %s, or all)", name, strings.Join(all, ", "))
+			if runs[name] == nil {
+				return fmt.Errorf("unknown figure %q (want %s, or all)", name, strings.Join(names, ", "))
 			}
 			order = append(order, name)
 		}
 	}
+	var csv strings.Builder
+	e := &env{out: out, csv: &csv, doc: map[string]any{}, spaces: *spaces}
 	for _, name := range order {
-		if err := figures[name](); err != nil {
+		if err := runs[name](e); err != nil {
 			return fmt.Errorf("fig %s: %w", name, err)
 		}
 	}
@@ -164,7 +207,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "\nCSV written to %s\n", *csvPath)
 	}
 	if *jsonPath != "" {
-		raw, err := json.MarshalIndent(doc, "", "  ")
+		raw, err := json.MarshalIndent(e.doc, "", "  ")
 		if err != nil {
 			return fmt.Errorf("encode json: %w", err)
 		}
@@ -376,23 +419,23 @@ func durability(out io.Writer, csv *strings.Builder, doc map[string]any, spaces,
 	fmt.Fprintln(out, "   silent loss = writes reported OK that no surviving center holds")
 	concerns := []cluster.WriteConcern{cluster.WriteAsync, cluster.WriteOne, cluster.WriteQuorum}
 	var results []bench.DurabilityResult
-	fmt.Fprintf(out, "  %-8s %12s %12s %12s %12s %12s %8s %12s %10s\n",
-		"concern", "write-lat", "snap-lat", "wiresnap-gob", "wiresnap-v2", "cutoff-lat", "flagged", "silent-loss", "lost-total")
-	fmt.Fprintf(csv, "durability,concern,spaces,writes,write_lat_us,snap_lat_us,wire_snap_gob_us,wire_snap_fast_us,cutoff_lat_us,flagged,silent_loss,lost_total,durable\n")
+	fmt.Fprintf(out, "  %-8s %12s %12s %12s %12s %8s %12s %10s\n",
+		"concern", "write-lat", "snap-lat", "wiresnap-v2", "cutoff-lat", "flagged", "silent-loss", "lost-total")
+	fmt.Fprintf(csv, "durability,concern,spaces,writes,write_lat_us,snap_lat_us,wire_snap_fast_us,cutoff_lat_us,flagged,silent_loss,lost_total,durable\n")
 	for _, wc := range concerns {
 		res, err := bench.RunDurability(spaces, writes, wc)
 		if err != nil {
 			return err
 		}
 		results = append(results, res)
-		fmt.Fprintf(out, "  %-8s %10dµs %10dµs %10dµs %10dµs %10dµs %8d %12d %10d\n",
+		fmt.Fprintf(out, "  %-8s %10dµs %10dµs %10dµs %10dµs %8d %12d %10d\n",
 			res.Concern, res.HealthyLatency.Microseconds(), res.SnapLatency.Microseconds(),
-			res.WireSnapGob.Microseconds(), res.WireSnapFast.Microseconds(),
+			res.WireSnapFast.Microseconds(),
 			res.DegradedLatency.Microseconds(), res.Flagged, res.SilentLoss, res.LostTotal)
-		fmt.Fprintf(csv, "durability,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
+		fmt.Fprintf(csv, "durability,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
 			res.Concern, res.Spaces, res.Writes,
 			res.HealthyLatency.Microseconds(), res.SnapLatency.Microseconds(),
-			res.WireSnapGob.Microseconds(), res.WireSnapFast.Microseconds(),
+			res.WireSnapFast.Microseconds(),
 			res.DegradedLatency.Microseconds(), res.Flagged, res.SilentLoss, res.LostTotal, res.Durable)
 	}
 	fmt.Fprintln(out)
@@ -412,21 +455,18 @@ func ctlFig(out io.Writer, csv *strings.Builder, doc map[string]any, requests, w
 		res.InfoRTT.Microseconds(), res.AppsRTT.Microseconds())
 	fmt.Fprintf(out, "  %-12s %10s %10s %8s %14s\n",
 		"", "delivered", "lost", "elapsed", "events/sec")
-	for _, f := range []bench.CtlFanout{res.V1, res.V2} {
-		fmt.Fprintf(out, "  watch-%-6s %10d %10d %6dms %14.0f\n",
-			f.Proto, f.Delivered, f.Lost, f.Elapsed.Milliseconds(), f.EventsPerSec)
-	}
+	f := res.V2
+	fmt.Fprintf(out, "  %-12s %10d %10d %6dms %14.0f\n",
+		"watch", f.Delivered, f.Lost, f.Elapsed.Milliseconds(), f.EventsPerSec)
 	fmt.Fprintf(out, "  %-12s %10d %10d %6dms %14.0f   (%d live + %d replayed)\n",
 		"replay", int64(res.Replay.Replayed), res.Replay.Lost,
 		res.Replay.Elapsed.Milliseconds(), res.Replay.EventsPerSec,
 		res.Replay.Live, res.Replay.Replayed)
 	fmt.Fprintf(csv, "ctl,row,requests,watchers,events,info_rtt_us,apps_rtt_us,delivered,lost,elapsed_ms,events_per_sec\n")
-	for _, f := range []bench.CtlFanout{res.V1, res.V2} {
-		fmt.Fprintf(csv, "ctl,watch-%s,%d,%d,%d,%d,%d,%d,%d,%d,%.0f\n",
-			f.Proto, res.Requests, f.Watchers, f.Published,
-			res.InfoRTT.Microseconds(), res.AppsRTT.Microseconds(),
-			f.Delivered, f.Lost, f.Elapsed.Milliseconds(), f.EventsPerSec)
-	}
+	fmt.Fprintf(csv, "ctl,watch,%d,%d,%d,%d,%d,%d,%d,%d,%.0f\n",
+		res.Requests, f.Watchers, f.Published,
+		res.InfoRTT.Microseconds(), res.AppsRTT.Microseconds(),
+		f.Delivered, f.Lost, f.Elapsed.Milliseconds(), f.EventsPerSec)
 	fmt.Fprintf(csv, "ctl,replay,%d,1,%d,%d,%d,%d,%d,%d,%.0f\n\n",
 		res.Requests, res.Replay.Burst,
 		res.InfoRTT.Microseconds(), res.AppsRTT.Microseconds(),
@@ -476,63 +516,35 @@ func parseHostCounts(spec string) ([]int, error) {
 	return out, nil
 }
 
-func members(out io.Writer, csv *strings.Builder, doc map[string]any, hostsSpec, baselineSpec string) error {
+func members(out io.Writer, csv *strings.Builder, doc map[string]any, hostsSpec string) error {
 	hosts, err := parseHostCounts(hostsSpec)
 	if err != nil {
 		return err
 	}
-	baseline, err := parseHostCounts(baselineSpec)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(out, "== Members — gossip dissemination at scale: bounded piggyback vs full-table ==")
+	fmt.Fprintln(out, "== Members — gossip dissemination at scale: bounded piggyback ==")
 	fmt.Fprintln(out, "   (synchronous protocol rounds over netsim; kill-wall includes the suspicion window)")
-	fmt.Fprintf(out, "  %-6s %-6s %10s %9s %8s %12s %6s %6s %10s %6s\n",
-		"hosts", "mode", "bytes/msg", "upd/msg", "B/host/s", "bootstrap", "join", "kill", "kill-wall", "false")
-	fmt.Fprintf(csv, "members,hosts,mode,bytes_per_msg,updates_per_msg,bytes_per_host_sec,bootstrap_rounds,join_rounds,kill_rounds,kill_wall_ms,false_suspects,false_convictions\n")
-	row := func(r bench.MembersResult) {
-		mode := "bounded"
-		if r.FullTable {
-			mode = "full"
-		}
-		fmt.Fprintf(out, "  %-6d %-6s %10.0f %9.1f %8.0f %12d %6d %6d %8dms %6d\n",
-			r.Hosts, mode, r.BytesPerMsg, r.UpdatesPerMsg, r.BytesPerHostSec,
-			r.BootstrapRounds, r.JoinRounds, r.KillRounds, r.KillWall.Milliseconds(),
-			r.FalseSuspects+r.FalseConvictions)
-		fmt.Fprintf(csv, "members,%d,%s,%.1f,%.2f,%.1f,%d,%d,%d,%d,%d,%d\n",
-			r.Hosts, mode, r.BytesPerMsg, r.UpdatesPerMsg, r.BytesPerHostSec,
-			r.BootstrapRounds, r.JoinRounds, r.KillRounds, r.KillWall.Milliseconds(),
-			r.FalseSuspects, r.FalseConvictions)
-	}
-	var bounded, full []bench.MembersResult
-	boundedRate := map[int]float64{}
+	fmt.Fprintf(out, "  %-6s %10s %9s %8s %12s %6s %6s %10s %6s\n",
+		"hosts", "bytes/msg", "upd/msg", "B/host/s", "bootstrap", "join", "kill", "kill-wall", "false")
+	fmt.Fprintf(csv, "members,hosts,bytes_per_msg,updates_per_msg,bytes_per_host_sec,bootstrap_rounds,join_rounds,kill_rounds,kill_wall_ms,false_suspects,false_convictions\n")
+	var bounded []bench.MembersResult
 	for _, n := range hosts {
 		r, err := bench.RunMembers(n, bench.MembersConfig())
 		if err != nil {
 			return err
 		}
 		bounded = append(bounded, r)
-		boundedRate[n] = r.BytesPerHostSec
-		row(r)
-	}
-	for _, n := range baseline {
-		cfg := bench.MembersConfig()
-		cfg.FullTableGossip = true
-		r, err := bench.RunMembers(n, cfg)
-		if err != nil {
-			return err
-		}
-		full = append(full, r)
-		row(r)
-		if b := boundedRate[n]; b > 0 {
-			fmt.Fprintf(out, "         -> bounded dissemination sends %.1fx fewer bytes/host/sec at %d hosts\n",
-				r.BytesPerHostSec/b, n)
-		}
+		fmt.Fprintf(out, "  %-6d %10.0f %9.1f %8.0f %12d %6d %6d %8dms %6d\n",
+			r.Hosts, r.BytesPerMsg, r.UpdatesPerMsg, r.BytesPerHostSec,
+			r.BootstrapRounds, r.JoinRounds, r.KillRounds, r.KillWall.Milliseconds(),
+			r.FalseSuspects+r.FalseConvictions)
+		fmt.Fprintf(csv, "members,%d,%.1f,%.2f,%.1f,%d,%d,%d,%d,%d,%d\n",
+			r.Hosts, r.BytesPerMsg, r.UpdatesPerMsg, r.BytesPerHostSec,
+			r.BootstrapRounds, r.JoinRounds, r.KillRounds, r.KillWall.Milliseconds(),
+			r.FalseSuspects, r.FalseConvictions)
 	}
 	fmt.Fprintln(out)
 	csv.WriteString("\n")
-	record(doc, "members", map[string]any{"hosts": hosts, "baseline_hosts": baseline},
-		map[string]any{"bounded": bounded, "full_table": full})
+	record(doc, "members", map[string]any{"hosts": hosts}, map[string]any{"bounded": bounded})
 	return nil
 }
 
@@ -543,49 +555,25 @@ func storeFig(out io.Writer, csv *strings.Builder, doc map[string]any, cfg bench
 	if cfg.BlobEvery > 0 {
 		mix = fmt.Sprintf("every %dth write a %dKB snapshot frame", cfg.BlobEvery, cfg.BlobBytes/1024)
 	}
-	fmt.Fprintf(out, "   (%dB records, %s; seed interval = Sync ticker every %v, held under the seed's global write lock)\n",
+	fmt.Fprintf(out, "   (%dB records, %s; interval = group-commit fsync every %v)\n",
 		cfg.ValueBytes, mix, store.DefaultSyncEvery)
-	rows := []struct {
-		engine string
-		pol    store.SyncPolicy
-	}{
-		{"seed", store.SyncNever},
-		{"seed", store.SyncInterval},
-		{"engine", store.SyncNever},
-		{"engine", store.SyncInterval},
-		{"engine", store.SyncAlways},
-	}
-	fmt.Fprintf(out, "  %-8s %-9s %14s %14s %10s %10s %12s\n",
-		"engine", "sync", "load-w/s", "writes/sec", "p50", "p99", "disk-bytes")
-	fmt.Fprintf(csv, "store,engine,sync,records,writers,ops,load_writes_per_sec,writes_per_sec,p50_us,p99_us,blob_writes,disk_bytes\n")
+	fmt.Fprintf(out, "  %-9s %14s %14s %10s %10s %12s\n",
+		"sync", "load-w/s", "writes/sec", "p50", "p99", "disk-bytes")
+	fmt.Fprintf(csv, "store,sync,records,writers,ops,load_writes_per_sec,writes_per_sec,p50_us,p99_us,blob_writes,disk_bytes\n")
 	var results []bench.StoreResult
-	var seedRate, engineRate float64
-	for _, r := range rows {
-		res, err := bench.RunStore(cfg, r.engine, r.pol)
+	for _, pol := range []store.SyncPolicy{store.SyncNever, store.SyncInterval, store.SyncAlways} {
+		res, err := bench.RunStore(cfg, pol)
 		if err != nil {
 			return err
 		}
 		results = append(results, res)
-		// The headline ratio compares matched durability: both sides
-		// fsync on the same cadence, so it isolates the architecture
-		// (off-lock group commit vs fsync under the global write lock).
-		if res.Sync == store.SyncInterval.String() {
-			if res.Engine == "seed" {
-				seedRate = res.WritesPerSec
-			} else {
-				engineRate = res.WritesPerSec
-			}
-		}
-		fmt.Fprintf(out, "  %-8s %-9s %14.0f %14.0f %9dµs %9dµs %12d\n",
-			res.Engine, res.Sync, res.LoadWritesPerSec, res.WritesPerSec,
+		fmt.Fprintf(out, "  %-9s %14.0f %14.0f %9dµs %9dµs %12d\n",
+			res.Sync, res.LoadWritesPerSec, res.WritesPerSec,
 			res.P50.Microseconds(), res.P99.Microseconds(), res.DiskBytes)
-		fmt.Fprintf(csv, "store,%s,%s,%d,%d,%d,%.0f,%.0f,%d,%d,%d,%d\n",
-			res.Engine, res.Sync, res.Records, res.Writers, res.Ops,
+		fmt.Fprintf(csv, "store,%s,%d,%d,%d,%.0f,%.0f,%d,%d,%d,%d\n",
+			res.Sync, res.Records, res.Writers, res.Ops,
 			res.LoadWritesPerSec, res.WritesPerSec,
 			res.P50.Microseconds(), res.P99.Microseconds(), res.BlobWrites, res.DiskBytes)
-	}
-	if seedRate > 0 && engineRate > 0 {
-		fmt.Fprintf(out, "  -> engine sustains %.1fx the seed store's writes/sec at matched durability (%v fsync cadence)\n", engineRate/seedRate, store.DefaultSyncEvery)
 	}
 
 	var crash bench.StoreCrashResult

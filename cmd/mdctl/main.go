@@ -328,8 +328,8 @@ type watchLine struct {
 
 // watch streams events until stop closes, n events arrived (n > 0), or
 // d elapsed (d > 0). fromSeq > 0 asks the server to replay from that
-// sequence number; a server that cannot honor it (pre-v2, or the ring
-// aged the seq out) degrades to a live watch with a warning rather than
+// sequence number; a server that cannot honor it (the ring aged the
+// seq out) degrades to a live watch with a warning rather than
 // failing — the operator asked to see events, not to see an exit code.
 func watch(cli *ctl.Client, out io.Writer, stop <-chan struct{}, jsonOut bool, pattern string, n int, d time.Duration, fromSeq uint64) error {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -346,7 +346,7 @@ func watch(cli *ctl.Client, out io.Writer, stop <-chan struct{}, jsonOut bool, p
 		}
 	}()
 	events, err := cli.WatchFrom(ctx, pattern, fromSeq)
-	if fromSeq > 0 && (errors.Is(err, ctl.ErrReplayGap) || errors.Is(err, ctl.ErrUnsupported)) {
+	if fromSeq > 0 && errors.Is(err, ctl.ErrReplayGap) {
 		fmt.Fprintf(os.Stderr, "mdctl: replay from seq %d unavailable (%v); watching live from now\n", fromSeq, err)
 		events, err = cli.Watch(ctx, pattern)
 	}

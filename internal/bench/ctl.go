@@ -12,10 +12,9 @@ import (
 )
 
 // CtlFanout is one Watch fan-out measurement: events per second actually
-// delivered to N concurrent watchers on one protocol generation, with
-// the loss count the stream reported in-band.
+// delivered to N concurrent watchers, with the loss count the stream
+// reported in-band.
 type CtlFanout struct {
-	Proto        string // "v1" (per-event gob) or "v2" (batched fast frames)
 	Watchers     int
 	Published    int
 	Delivered    int64 // events that reached a watcher
@@ -38,15 +37,14 @@ type CtlReplay struct {
 
 // CtlResult is the control-plane micro-benchmark: request round-trip
 // latency for a metadata call (Info) and a data call (Apps), Watch
-// fan-out on both protocol generations side by side, and the
-// replay-from-seq resume path. Later protocol revisions diff against
-// the V2 column.
+// fan-out, and the replay-from-seq resume path. The fan-out keeps the
+// V2 field name so recorded documents (bench/baseline.json) and the
+// benchdiff gate read it unchanged.
 type CtlResult struct {
 	Requests int
 	InfoRTT  time.Duration // mean round-trip of one ctl.info
 	AppsRTT  time.Duration // mean round-trip of one ctl.apps (records + heads)
 
-	V1     CtlFanout // per-event gob stream (pre-v2 client against the same server)
 	V2     CtlFanout // batched fast frames through the replay ring
 	Replay CtlReplay
 }
@@ -55,9 +53,7 @@ type CtlResult struct {
 // same versioned protocol and server the TCP daemons use, minus kernel
 // scheduling noise from real sockets — so the numbers isolate protocol
 // cost (seal, encode, dispatch, reply correlation) and the Watch
-// pushers. The v1 and v2 fan-outs run against one server back to back
-// with the same burst, so the two rows differ only in wire encoding and
-// push strategy.
+// pushers.
 func RunCtl(requests, watchers, events int) (CtlResult, error) {
 	mw, err := deployment(200_000, 7)
 	if err != nil {
@@ -98,11 +94,7 @@ func RunCtl(requests, watchers, events int) (CtlResult, error) {
 	}
 	res.AppsRTT = time.Since(start) / time.Duration(requests)
 
-	// Fan-out, both generations against the same server and burst size.
-	if res.V1, err = runFanout(ctx, mw, "v1", 1, watchers, events); err != nil {
-		return res, err
-	}
-	if res.V2, err = runFanout(ctx, mw, "v2", 0, watchers, events); err != nil {
+	if res.V2, err = runFanout(ctx, mw, watchers, events); err != nil {
 		return res, err
 	}
 	if res.Replay, err = runReplay(ctx, mw, events); err != nil {
@@ -111,12 +103,10 @@ func RunCtl(requests, watchers, events int) (CtlResult, error) {
 	return res, nil
 }
 
-// runFanout publishes one burst to N watchers pinned to a protocol
-// generation (forceProto 1 = per-event gob, 0 = negotiate v2) and
-// counts deliveries until every stream idles.
-func runFanout(ctx context.Context, mw *core.Middleware, label string, forceProto byte, watchers, events int) (CtlFanout, error) {
-	out := CtlFanout{Proto: label, Watchers: watchers, Published: events}
-	topic := "bench" + label + ".tick"
+// runFanout publishes one burst to N watchers and counts deliveries
+// until every stream idles.
+func runFanout(ctx context.Context, mw *core.Middleware, watchers, events int) (CtlFanout, error) {
+	out := CtlFanout{Watchers: watchers, Published: events}
 
 	type tally struct {
 		delivered int64
@@ -127,13 +117,12 @@ func runFanout(ctx context.Context, mw *core.Middleware, label string, forceProt
 	wctx, wcancel := context.WithCancel(ctx)
 	defer wcancel()
 	for i := 0; i < watchers; i++ {
-		ep, err := mw.Fabric.Attach(fmt.Sprintf("ctl-bench-watch-%s-%d", label, i), "")
+		ep, err := mw.Fabric.Attach(fmt.Sprintf("ctl-bench-watch-%d", i), "")
 		if err != nil {
 			return out, err
 		}
 		wcli := ctl.NewClient(ep, "ctl-bench-server")
-		wcli.ForceProto = forceProto
-		stream, err := wcli.Watch(wctx, "bench"+label+".*")
+		stream, err := wcli.Watch(wctx, "bench.*")
 		if err != nil {
 			return out, err
 		}
@@ -167,7 +156,7 @@ func runFanout(ctx context.Context, mw *core.Middleware, label string, forceProt
 	start := time.Now()
 	for i := 0; i < events; i++ {
 		mw.Kernel.Publish(ctxkernel.Event{
-			Topic: topic, At: time.Now(), Source: "bench",
+			Topic: "bench.tick", At: time.Now(), Source: "bench",
 			Attrs: map[string]string{"seq": fmt.Sprint(i)},
 		})
 	}

@@ -38,9 +38,8 @@ type DurabilityResult struct {
 	SnapLatency    time.Duration // mean per-put latency, snapshot records
 
 	// Wire snap-put latency through a SnapshotClient on the fabric, same
-	// puts, async concern (no peer-ack wait): the codec comparison the
-	// fast path is judged by — gob seals vs compact v2 frames.
-	WireSnapGob  time.Duration
+	// puts, async concern (no peer-ack wait): the cost of the v2 codec
+	// plus the wire.
 	WireSnapFast time.Duration
 
 	// Partitioned-phase measurements (writer cut off from every peer).
@@ -238,13 +237,9 @@ func RunDurability(n, writes int, concern cluster.WriteConcern) (DurabilityResul
 	}
 
 	// Wire leg: the same put stream through a SnapshotClient over the
-	// fabric, once per encoding. Async concern isolates the codec + wire
-	// cost from peer-ack waits; distinct app names keep every put a full
-	// frame, so the two runs move identical state.
-	if res.WireSnapGob, err = wireSnapLatency(net, fab, writes, "gob", transport.ProtoVersion); err != nil {
-		return res, err
-	}
-	if res.WireSnapFast, err = wireSnapLatency(net, fab, writes, "fast", transport.ProtoV2); err != nil {
+	// fabric. Async concern isolates the codec + wire cost from peer-ack
+	// waits; distinct app names keep every put a full frame.
+	if res.WireSnapFast, err = wireSnapLatency(net, fab, writes); err != nil {
 		return res, err
 	}
 
@@ -291,11 +286,11 @@ func RunDurability(n, writes int, concern cluster.WriteConcern) (DurabilityResul
 }
 
 // wireSnapLatency measures the mean per-put latency of full-frame
-// snapshot puts through a SnapshotClient pinned to one wire encoding,
-// against a dedicated standalone center (async concern, no peers) on
-// the same simulated network.
-func wireSnapLatency(net *netsim.Network, fab *transport.LocalFabric, writes int, label string, proto byte) (time.Duration, error) {
-	srvHost, cliHost := "wire-srv-"+label, "wire-cli-"+label
+// snapshot puts through a SnapshotClient, against a dedicated
+// standalone center (async concern, no peers) on the same simulated
+// network.
+func wireSnapLatency(net *netsim.Network, fab *transport.LocalFabric, writes int) (time.Duration, error) {
+	srvHost, cliHost := "wire-srv", "wire-cli"
 	for _, h := range []string{srvHost, cliHost} {
 		if _, err := net.AddHost(h, "lan", netsim.PentiumM_1600(), 0); err != nil {
 			return 0, err
@@ -305,7 +300,7 @@ func wireSnapLatency(net *netsim.Network, fab *transport.LocalFabric, writes int
 	if err != nil {
 		return 0, err
 	}
-	space := "wire-" + label
+	const space = "wire"
 	srvEp, err := fab.Attach(cluster.CenterEndpointName(space), srvHost)
 	if err != nil {
 		return 0, err
@@ -315,23 +310,22 @@ func wireSnapLatency(net *netsim.Network, fab *transport.LocalFabric, writes int
 	})
 	ctr.Serve(srvEp)
 	defer ctr.Stop()
-	cliEp, err := fab.Attach("wire-client-"+label, cliHost)
+	cliEp, err := fab.Attach("wire-client", cliHost)
 	if err != nil {
 		return 0, err
 	}
 	cli := cluster.NewSnapshotClient(cliEp, cluster.CenterEndpointName(space))
-	cli.SetProto(proto)
 
 	ctx := context.Background()
 	var total time.Duration
 	for i := 0; i < writes; i++ {
-		put, err := durabilityFrame(fmt.Sprintf("wire-%s-%03d", label, i), label)
+		put, err := durabilityFrame(fmt.Sprintf("wire-%03d", i), "fast")
 		if err != nil {
 			return 0, err
 		}
 		start := time.Now()
 		if _, err := cli.PutSnapshot(ctx, put); err != nil {
-			return 0, fmt.Errorf("bench: wire %s put #%d: %w", label, i, err)
+			return 0, fmt.Errorf("bench: wire put #%d: %w", i, err)
 		}
 		total += time.Since(start)
 	}

@@ -19,9 +19,8 @@ import (
 // durations appear only where the protocol itself is wall-clocked (the
 // suspicion window).
 type MembersResult struct {
-	Hosts     int
-	FullTable bool // baseline mode: pre-PR 7 full-table piggybacking
-	Config    cluster.Config
+	Hosts  int
+	Config cluster.Config
 
 	BootstrapRounds int // star-seeded cold start -> everyone sees everyone
 
@@ -66,13 +65,12 @@ const steadyRounds = 30
 // metering gossip bytes and messages, one join (convergence measured in
 // rounds), and one kill (rounds + wall time to unanimous conviction).
 // Any suspect or dead report about a live member anywhere in the run
-// counts as a false positive. Set cfg.FullTableGossip for the pre-PR 7
-// baseline the bounded numbers are compared against.
+// counts as a false positive.
 func RunMembers(n int, cfg cluster.Config) (MembersResult, error) {
 	if n < 3 {
 		return MembersResult{}, fmt.Errorf("bench: members needs >= 3 hosts, got %d", n)
 	}
-	res := MembersResult{Hosts: n, FullTable: cfg.FullTableGossip, Config: cfg}
+	res := MembersResult{Hosts: n, Config: cfg}
 
 	clk := vclock.NewVirtual(time.Unix(0, 0))
 	net := netsim.New(clk, netsim.WithSeed(17))

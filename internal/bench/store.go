@@ -19,8 +19,7 @@ import (
 // StoreConfig shapes the storage-engine experiment: Records resident
 // keys are preloaded, then Writers goroutines issue Ops mixed
 // operations — registry-sized overwrites with every BlobEvery-th write
-// a BlobBytes snapshot frame — against either the seed single-lock
-// store or the PR 8 engine.
+// a BlobBytes snapshot frame — against the storage engine.
 type StoreConfig struct {
 	Records    int
 	Writers    int
@@ -30,10 +29,12 @@ type StoreConfig struct {
 	BlobBytes  int
 }
 
-// StoreResult is one row of the before/after table.
+// StoreResult is one row of the store table, one per sync policy.
 type StoreResult struct {
-	Engine  string // "seed" or "engine"
-	Sync    string // sync policy ("" for seed: never fsyncs per write)
+	// Engine is always "engine": recorded documents and the benchdiff
+	// gate select the row by it.
+	Engine  string
+	Sync    string // sync policy
 	Records int
 	Writers int
 	Ops     int
@@ -46,82 +47,24 @@ type StoreResult struct {
 	DiskBytes        int64
 }
 
-// benchKV is the slice of the store API both engines share.
-type benchKV interface {
-	Put(key string, value []byte) error
-	Get(key string) ([]byte, error)
-	Sync() error
-	Close() error
-}
-
 func storeKey(i int) string { return fmt.Sprintf("rec/%08d", i) }
 
-// RunStore runs the mixed-write experiment against one engine. engine
-// is "seed" (the pre-PR 8 single-lock store) or "engine" with the given
-// sync policy. The seed has no commit pipeline, so its SyncInterval
-// equivalent is a background ticker calling Sync() on the engine's
-// default cadence — which, in the seed, holds the global write lock for
-// the duration of each fsync. SyncAlways is engine-only.
-func RunStore(cfg StoreConfig, engine string, pol store.SyncPolicy) (StoreResult, error) {
+// RunStore runs the mixed-write experiment against the storage engine
+// under one sync policy.
+func RunStore(cfg StoreConfig, pol store.SyncPolicy) (StoreResult, error) {
 	if cfg.Writers <= 0 {
 		cfg.Writers = 1
 	}
-	res := StoreResult{Engine: engine, Records: cfg.Records, Writers: cfg.Writers, Ops: cfg.Ops, Sync: pol.String()}
+	res := StoreResult{Engine: "engine", Records: cfg.Records, Writers: cfg.Writers, Ops: cfg.Ops, Sync: pol.String()}
 
 	dir, err := os.MkdirTemp("", "mdbench-store-*")
 	if err != nil {
 		return res, err
 	}
 	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "db")
-
-	var kv benchKV
-	var disk func() int64
-	switch engine {
-	case "seed":
-		if pol == store.SyncAlways {
-			return res, fmt.Errorf("bench: the seed store has no per-write fsync mode")
-		}
-		lg, err := store.OpenLegacy(path)
-		if err != nil {
-			return res, err
-		}
-		kv = lg
-		disk = func() int64 {
-			fi, err := os.Stat(path)
-			if err != nil {
-				return 0
-			}
-			return fi.Size()
-		}
-		if pol == store.SyncInterval {
-			stop := make(chan struct{})
-			var tickWG sync.WaitGroup
-			tickWG.Add(1)
-			go func() {
-				defer tickWG.Done()
-				t := time.NewTicker(store.DefaultSyncEvery)
-				defer t.Stop()
-				for {
-					select {
-					case <-t.C:
-						_ = lg.Sync()
-					case <-stop:
-						return
-					}
-				}
-			}()
-			defer func() { close(stop); tickWG.Wait() }()
-		}
-	case "engine":
-		st, err := store.Open(path, store.WithSyncPolicy(pol))
-		if err != nil {
-			return res, err
-		}
-		kv = st
-		disk = st.DiskUsage
-	default:
-		return res, fmt.Errorf("bench: unknown store engine %q", engine)
+	kv, err := store.Open(filepath.Join(dir, "db"), store.WithSyncPolicy(pol))
+	if err != nil {
+		return res, err
 	}
 	defer kv.Close()
 
@@ -221,7 +164,7 @@ func RunStore(cfg StoreConfig, engine string, pol store.SyncPolicy) (StoreResult
 	if s := elapsed.Seconds(); s > 0 {
 		res.WritesPerSec = float64(cfg.Writers*opsPer) / s
 	}
-	res.DiskBytes = disk()
+	res.DiskBytes = kv.DiskUsage()
 
 	// Read back a handful of keys so an engine that dropped writes on
 	// the floor cannot post a throughput number.

@@ -93,20 +93,13 @@ type gossipLoad struct {
 // load builds the bounded payload for one outgoing message: the given
 // must-carry entries (certificates a specific probe depends on — they
 // do not charge the queue's budget) followed by the queue's selection.
-// In FullTableGossip mode it degenerates to the full table.
 func (n *Node) load(must ...Member) gossipLoad {
-	if n.cfg.FullTableGossip {
-		return n.fullLoad()
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.loadLocked(must...)
 }
 
 func (n *Node) loadLocked(must ...Member) gossipLoad {
-	if n.cfg.FullTableGossip {
-		return gossipLoad{full: true, table: n.tableSnapshotLocked()}
-	}
 	sel := n.selectUpdatesLocked()
 	if len(must) == 0 {
 		return gossipLoad{updates: sel}

@@ -23,10 +23,9 @@ import (
 //
 // Batched variants prefix a uvarint count and concatenate the bodies;
 // a batch outcome adds bit2 (errored) + an error string per entry, so
-// one bad put does not poison its batchmates' stamps. Gob (v1 seals)
-// remains the fallback for pre-v2 peers — the codec changes, the
-// semantics (in-band need-full/not-durable, write-concern header) do
-// not.
+// one bad put does not poison its batchmates' stamps. This is the only
+// snapshot-put encoding: a center refuses a gob-sealed put with
+// transport.ErrVersion.
 
 const (
 	snapFlagNeedFull   byte = 1 << 0
@@ -197,9 +196,8 @@ func outcomeOf(stamp state.SnapshotStamp, err error) snapOutcome {
 const maxSnapBatch = 4096
 
 // putSnapshotFast serves a v2 MsgPutSnapshot frame (single or batch) on
-// the center. Single puts keep the gob path's contract — expected
-// signals (need-full, not-durable) ride in-band, hard failures become
-// error replies. Batch entries carry even hard failures in-band so one
+// the center. For single puts, expected signals (need-full,
+// not-durable) ride in-band and hard failures become error replies. Batch entries carry even hard failures in-band so one
 // bad put cannot void its batchmates' stamps.
 func (c *Center) putSnapshotFast(payload []byte) ([]byte, error) {
 	op, body, err := transport.OpenFast(payload)

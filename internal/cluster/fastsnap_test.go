@@ -95,25 +95,17 @@ func TestSnapPutFastCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotFastPathAgainstCenter is the diagonal and one off-diagonal
-// cell: a negotiating client confirms v2 against a new center with the
-// in-band signals (need-full) intact, and a gob-pinned client — how a
-// pre-v2 binary behaves, byte for byte — still round-trips against the
-// same center.
+// TestSnapshotFastPathAgainstCenter round-trips full and delta puts
+// through the v2 fast frames against a served center, with the in-band
+// signals (need-full) intact.
 func TestSnapshotFastPathAgainstCenter(t *testing.T) {
 	_, cliEp := newSnapRig(t)
 	ctx := context.Background()
 
 	cli := NewSnapshotClient(cliEp, CenterEndpointName("alpha"))
-	if cli.Proto() != 0 {
-		t.Fatalf("pre-put proto = %d, want 0 (untried)", cli.Proto())
-	}
 	stamp, err := cli.PutSnapshot(ctx, mustSnapshot(t, "player", "hostA", "pos-1"))
 	if err != nil || stamp.Seq != 1 {
 		t.Fatalf("fast full put: stamp=%+v err=%v", stamp, err)
-	}
-	if cli.Proto() != transport.ProtoV2 {
-		t.Fatalf("proto after put = %d, want %d (v2 confirmed)", cli.Proto(), transport.ProtoV2)
 	}
 	stamp2, err := cli.PutSnapshot(ctx, mustDelta(t, "player", "hostA", "pos-1", "pos-2"))
 	if err != nil || stamp2.Seq != 2 || stamp2.Chain != 1 {
@@ -125,87 +117,6 @@ func TestSnapshotFastPathAgainstCenter(t *testing.T) {
 	}
 	if rec, found, err := cli.LatestSnapshot(ctx, "player"); err != nil || !found || snapValue(t, rec) != "pos-2" {
 		t.Fatalf("fetch after fast puts: found=%v err=%v", found, err)
-	}
-
-	// Old client, new server: the pinned-gob path is exactly the frame
-	// sequence a pre-v2 client sends.
-	old := NewSnapshotClient(cliEp, CenterEndpointName("alpha"))
-	old.SetProto(transport.ProtoVersion)
-	stamp3, err := old.PutSnapshot(ctx, mustDelta(t, "player", "hostA", "pos-2", "pos-3"))
-	if err != nil || stamp3.Seq != 3 {
-		t.Fatalf("gob put against v2 center: stamp=%+v err=%v", stamp3, err)
-	}
-	if old.Proto() != transport.ProtoVersion {
-		t.Fatalf("pinned client drifted to proto %d", old.Proto())
-	}
-	if _, err := old.PutSnapshot(ctx, mustDelta(t, "player", "hostA", "bogus", "x")); !errors.Is(err, state.ErrNeedFull) {
-		t.Fatalf("stale-base delta over gob: err = %v, want ErrNeedFull", err)
-	}
-}
-
-// TestSnapshotClientDowngradesToGobCenter is the other off-diagonal
-// cell: a negotiating client against a v1-era center (simulated with the
-// old handler shape — DecodeSealed or refuse) hits the typed version
-// refusal once, re-sends as gob, and sticks to gob for every later put
-// without another wasted round trip.
-func TestSnapshotClientDowngradesToGobCenter(t *testing.T) {
-	fab := transport.NewLocalFabric(nil)
-	t.Cleanup(func() { fab.Close() })
-	srvEp, err := fab.Attach("old-center", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fastFrames, gobFrames int
-	srvEp.Handle(MsgPutSnapshot, func(msg transport.Message) ([]byte, error) {
-		// The pre-v2 handler body: straight to DecodeSealed, whose
-		// version check refuses the fast frame with ErrVersion.
-		var put state.SnapshotPut
-		if err := transport.DecodeSealed(msg.Payload, &put); err != nil {
-			fastFrames++
-			return nil, err
-		}
-		gobFrames++
-		return transport.Encode(putSnapshotReply{Stamp: state.SnapshotStamp{Seq: uint64(gobFrames)}})
-	})
-	cliEp, err := fab.Attach("new-client", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli := NewSnapshotClient(cliEp, "old-center")
-	ctx := context.Background()
-
-	put := mustSnapshot(t, "player", "hostA", "pos-1")
-	stamp, err := cli.PutSnapshot(ctx, put)
-	if err != nil || stamp.Seq != 1 {
-		t.Fatalf("first put through downgrade: stamp=%+v err=%v", stamp, err)
-	}
-	if cli.Proto() != transport.ProtoVersion {
-		t.Fatalf("proto after refusal = %d, want %d (gob, sticky)", cli.Proto(), transport.ProtoVersion)
-	}
-	if stamp, err = cli.PutSnapshot(ctx, put); err != nil || stamp.Seq != 2 {
-		t.Fatalf("second put: stamp=%+v err=%v", stamp, err)
-	}
-	if fastFrames != 1 {
-		t.Fatalf("old center saw %d fast frames, want exactly 1 (the probe)", fastFrames)
-	}
-	if gobFrames != 2 {
-		t.Fatalf("old center saw %d gob puts, want 2", gobFrames)
-	}
-
-	// Batches degrade to sequential singles on a gob peer — same
-	// outcomes, no fast frame even attempted now the downgrade stuck.
-	outs, err := cli.PutSnapshotBatch(ctx, []state.SnapshotPut{put, put})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 2 || outs[0].Err != nil || outs[1].Err != nil {
-		t.Fatalf("batch fallback outcomes = %+v", outs)
-	}
-	if outs[0].Stamp.Seq != 3 || outs[1].Stamp.Seq != 4 {
-		t.Fatalf("batch fallback stamps = %d, %d, want 3, 4", outs[0].Stamp.Seq, outs[1].Stamp.Seq)
-	}
-	if fastFrames != 1 || gobFrames != 4 {
-		t.Fatalf("after batch: fast=%d gob=%d, want 1 and 4", fastFrames, gobFrames)
 	}
 }
 
@@ -237,9 +148,6 @@ func TestSnapshotBatchPutMixedOutcomes(t *testing.T) {
 	}
 	if !errors.Is(outs[2].Err, state.ErrNeedFull) {
 		t.Fatalf("outcome 2 err = %v, want ErrNeedFull", outs[2].Err)
-	}
-	if cli.Proto() != transport.ProtoV2 {
-		t.Fatalf("proto after batch = %d, want v2", cli.Proto())
 	}
 	// The good entries actually landed.
 	if rec, found, err := cli.LatestSnapshot(ctx, "player"); err != nil || !found || snapValue(t, rec) != "pos-2" {

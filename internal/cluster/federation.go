@@ -1042,7 +1042,7 @@ func (c *Center) Serve(ep *transport.Endpoint) *Center {
 	// landed locally and anti-entropy retries delivery, so remote
 	// registrations succeed and the shortfall surfaces through the
 	// center's own durability events. Snapshot puts DO carry the verdict
-	// back (putSnapshotReply.NotDurable) — remote replicators re-queue.
+	// back (the not-durable outcome flag) — remote replicators re-queue.
 	stripNotDurable := func(err error) error {
 		if errors.Is(err, ErrNotDurable) {
 			return nil
@@ -1094,31 +1094,10 @@ func (c *Center) Serve(ep *transport.Endpoint) *Center {
 	// transport, and the remote replicator must be able to tell "send me
 	// a base" from a real failure.
 	ep.Handle(MsgPutSnapshot, func(msg transport.Message) ([]byte, error) {
-		// v2 fast frames (single and batched) answer in kind; v1 gob
-		// seals keep the reply shape pre-v2 clients decode. Any other
-		// version falls through to DecodeSealed's typed ErrVersion
-		// refusal.
-		if transport.IsFast(msg.Payload) {
-			return c.putSnapshotFast(msg.Payload)
-		}
-		var put state.SnapshotPut
-		if err := transport.DecodeSealed(msg.Payload, &put); err != nil {
-			return nil, err
-		}
-		stamp, err := c.PutSnapshot(context.Background(), put)
-		if errors.Is(err, state.ErrNeedFull) {
-			return transport.Encode(putSnapshotReply{NeedFull: true})
-		}
-		if errors.Is(err, ErrNotDurable) {
-			return transport.Encode(putSnapshotReply{Stamp: stamp, NotDurable: true})
-		}
-		if err != nil {
-			// Including a malformed write-concern header: the put was
-			// refused before anything was stored or enqueued, so the
-			// error reply cannot poison the FIFO push workers.
-			return nil, err
-		}
-		return transport.Encode(putSnapshotReply{Stamp: stamp})
+		// v2 fast frames (single and batched) answer in kind; a gob
+		// seal, or any other version byte, gets OpenFast's typed
+		// ErrVersion refusal.
+		return c.putSnapshotFast(msg.Payload)
 	})
 	ep.Handle(MsgGetSnapshot, func(msg transport.Message) ([]byte, error) {
 		var req getSnapshotReq

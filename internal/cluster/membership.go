@@ -78,10 +78,6 @@ type Config struct {
 	// the bounded buffer evicted before it reached everyone (default 64;
 	// negative disables).
 	FullSyncEvery int
-	// FullTableGossip restores the pre-bounded behaviour: the full
-	// membership table on every probe and ack. The benchmark baseline,
-	// not something a deployment should want.
-	FullTableGossip bool
 
 	// ReplicateState opts hosts into the state pipeline: each host's
 	// replicator streams its applications' snapshots to its space's

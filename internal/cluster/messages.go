@@ -39,7 +39,7 @@ func CenterEndpointName(space string) string { return "registry@" + space }
 // at most Config.MaxPiggyback queued member updates selected
 // fewest-transmissions-first, so the payload is O(1) in cluster size.
 // Full marks a full-table anti-entropy exchange (join bootstrap, Rejoin,
-// the FullSyncEvery cadence, and the FullTableGossip baseline): Table
+// and the FullSyncEvery cadence): Table
 // carries the sender's whole table and the ack answers in kind.
 type pingMsg struct {
 	From    string
@@ -165,17 +165,6 @@ type snapDeltaMsg struct {
 // daemons join the state pipeline over the same endpoints that serve the
 // registry protocol.
 type (
-	putSnapshotReply struct {
-		Stamp state.SnapshotStamp
-		// NeedFull tells the remote replicator to re-send a full frame
-		// (carried in-band: typed errors do not survive the transport).
-		NeedFull bool
-		// NotDurable tells the remote replicator the put landed but fell
-		// short of its write concern (in-band for the same reason), so it
-		// re-queues instead of advancing its acked base.
-		NotDurable bool
-	}
-
 	// getSnapshotReq fetches an app's freshest snapshot. When the
 	// requester already holds a record of the app (Have set), the Have*
 	// fields describe it, and a center whose copy extends the same base

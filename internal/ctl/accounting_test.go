@@ -24,12 +24,13 @@ type acctRun struct {
 }
 
 // runBurstWatch publishes a multi-goroutine burst at a deliberately
-// slow watcher and drains until the stream idles, then (when balance
-// demands it) publishes flush events one at a time — drops are reported
-// in-band on the NEXT delivered event, so trailing losses need a
-// delivery to ride on — until delivered+lost == published or the
-// deadline passes.
-func runBurstWatch(t *testing.T, forceProto byte) acctRun {
+// slow watcher on a server whose replay ring holds ringSize events
+// (zero takes the server default) and drains until the stream idles,
+// then (when balance demands it) publishes flush events one at a time —
+// drops are reported in-band on the NEXT delivered event, so trailing
+// losses need a delivery to ride on — until delivered+lost == published
+// or the deadline passes.
+func runBurstWatch(t *testing.T, ringSize int) acctRun {
 	t.Helper()
 	fabric := transport.NewLocalFabric(nil)
 	srvEp, err := fabric.Attach("acct-srv", "")
@@ -38,6 +39,7 @@ func runBurstWatch(t *testing.T, forceProto byte) acctRun {
 	}
 	kernel := ctxkernel.NewKernel()
 	srv := ctl.NewServer(ctl.Backend{Kernel: kernel})
+	srv.RingSize = ringSize
 	srv.Serve(srvEp)
 	defer srv.Close()
 	cliEp, err := fabric.Attach("acct-cli", "")
@@ -45,7 +47,6 @@ func runBurstWatch(t *testing.T, forceProto byte) acctRun {
 		t.Fatal(err)
 	}
 	cli := ctl.NewClient(cliEp, "acct-srv")
-	cli.ForceProto = forceProto
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -54,8 +55,8 @@ func runBurstWatch(t *testing.T, forceProto byte) acctRun {
 		t.Fatal(err)
 	}
 
-	// Bursty publishers: enough concurrent volume to overflow the
-	// v1 per-watch queue (and the client sink) many times over.
+	// Bursty publishers: enough concurrent volume to overflow a small
+	// replay ring many times over.
 	const publishers = 8
 	const perPublisher = 500
 	run := acctRun{published: &atomic.Int64{}}
@@ -85,12 +86,10 @@ func runBurstWatch(t *testing.T, forceProto byte) acctRun {
 			}
 			run.delivered++
 			run.lost += int64(ev.Lost)
-			if ev.Seq != 0 {
-				if ev.Seq <= run.lastSeq {
-					t.Fatalf("seq went backwards: %d after %d", ev.Seq, run.lastSeq)
-				}
-				run.lastSeq = ev.Seq
+			if ev.Seq <= run.lastSeq {
+				t.Fatalf("seq went backwards: %d after %d", ev.Seq, run.lastSeq)
 			}
+			run.lastSeq = ev.Seq
 			return true
 		case <-time.After(timeout):
 			return false
@@ -132,22 +131,24 @@ func runBurstWatch(t *testing.T, forceProto byte) acctRun {
 }
 
 // TestWatchDropAccountingConservation is the conservation law of the
-// v1 Watch stream's in-band drop accounting: under bursty publishers
-// and a deliberately slow watcher, every published event is either
-// delivered or counted in some delivered event's Lost — exactly, with
-// no double-counting across the server-side queue drop path and the
-// client-side sink drop path. The server-side share of those drops must
-// also land on the mdagent_ctl_watch_dropped_total counter (the
-// /metrics surface), which can never exceed the in-band total — the
-// in-band figure additionally counts client-sink drops the server
-// cannot see. Run under -race, the test also exercises the
-// publisher/pusher/sink interleavings the accounting must survive.
+// Watch stream's in-band drop accounting: eight concurrent publishers
+// overflow a 64-slot replay ring under a deliberately slow watcher, and
+// every published event is either delivered or counted in some
+// delivered event's Lost (runBurstWatch asserts delivered + lost ==
+// published) — exactly, with no double-counting across the
+// server-side ring-overflow path and the client-side sink drop path.
+// The server-side share of those drops must also land on the
+// mdagent_ctl_watch_dropped_total counter (the /metrics surface), which
+// can never exceed the in-band total — the in-band figure additionally
+// counts client-sink drops the server cannot see. Run under -race, the
+// test also exercises the publisher/pusher/sink interleavings the
+// accounting must survive.
 func TestWatchDropAccountingConservation(t *testing.T) {
 	drops := obs.Default.Counter("mdagent_ctl_watch_dropped_total")
 	before := drops.Value()
-	run := runBurstWatch(t, 1) // pin the per-event gob stream
+	run := runBurstWatch(t, 64)
 	if run.lost == 0 {
-		t.Fatalf("burst never overflowed the watch queues (delivered %d, published %d): the test lost its teeth",
+		t.Fatalf("burst never overflowed the 64-slot ring (delivered %d, published %d): the test lost its teeth",
 			run.delivered, run.published.Load())
 	}
 	metric := drops.Value() - before
@@ -161,27 +162,27 @@ func TestWatchDropAccountingConservation(t *testing.T) {
 		run.published.Load(), run.delivered, run.lost, metric)
 }
 
-// TestWatchConservationV2 runs the identical burst against the v2
-// stream: the replay ring is deeper than the whole burst, so the same
-// slow watcher that lost thousands of events on v1 must now see every
-// single one — zero Lost, delivered == published, strictly increasing
+// TestWatchConservationV2 runs the identical burst through the default
+// replay ring, which is deeper than the whole burst, so the same slow
+// watcher that overflowed the 64-slot ring must now see every single
+// event — zero Lost, delivered == published, strictly increasing
 // sequence numbers, and no movement on the drop counter.
 func TestWatchConservationV2(t *testing.T) {
 	drops := obs.Default.Counter("mdagent_ctl_watch_dropped_total")
 	before := drops.Value()
-	run := runBurstWatch(t, 0) // negotiate: lands on v2
+	run := runBurstWatch(t, 0)
 	if run.lost != 0 {
-		t.Fatalf("v2 stream lost %d events (delivered %d of %d): the ring should have absorbed the burst",
+		t.Fatalf("stream lost %d events (delivered %d of %d): the ring should have absorbed the burst",
 			run.lost, run.delivered, run.published.Load())
 	}
 	if run.delivered != run.published.Load() {
 		t.Fatalf("delivered %d != published %d", run.delivered, run.published.Load())
 	}
 	if run.lastSeq == 0 {
-		t.Fatal("v2 stream delivered no sequence numbers")
+		t.Fatal("stream delivered no sequence numbers")
 	}
 	if metric := drops.Value() - before; metric != 0 {
-		t.Fatalf("drop counter moved by %d on a lossless v2 run", metric)
+		t.Fatalf("drop counter moved by %d on a lossless run", metric)
 	}
 	t.Logf("published %d, delivered %d, highest seq %d",
 		run.published.Load(), run.delivered, run.lastSeq)

@@ -17,7 +17,7 @@ func TestHubOverflowLostExact(t *testing.T) {
 	hub := newWatchHub(kernel, 16)
 	defer hub.close()
 
-	w := &v2watcher{pattern: "*", cursor: 1, kick: make(chan struct{}, 1), done: make(chan struct{})}
+	w := &watcher{pattern: "*", cursor: 1, kick: make(chan struct{}, 1), done: make(chan struct{})}
 	hub.mu.Lock()
 	hub.watchers[w] = struct{}{}
 	hub.mu.Unlock()
@@ -56,7 +56,7 @@ func TestHubOverflowLostExact(t *testing.T) {
 		}
 		kernel.Publish(ctxkernel.Event{Topic: topic, At: time.Unix(1, 0), Source: "hub"})
 	}
-	w2 := &v2watcher{pattern: "ring.*", cursor: published + 1, kick: make(chan struct{}, 1), done: make(chan struct{})}
+	w2 := &watcher{pattern: "ring.*", cursor: published + 1, kick: make(chan struct{}, 1), done: make(chan struct{})}
 	if events, lost = hub.collect(w2, 512); len(events) != 4 || lost != 0 {
 		t.Fatalf("filtered collect = %d events, lost %d; want 4, 0", len(events), lost)
 	}
@@ -73,7 +73,7 @@ func TestHubSeqStampsMonotonic(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			kernel.Publish(ctxkernel.Event{Topic: "seq.tick", Source: fmt.Sprint(round)})
 		}
-		w := &v2watcher{pattern: "*", cursor: uint64(round*8 + 1), kick: make(chan struct{}, 1), done: make(chan struct{})}
+		w := &watcher{pattern: "*", cursor: uint64(round*8 + 1), kick: make(chan struct{}, 1), done: make(chan struct{})}
 		events, lost := hub.collect(w, 512)
 		if lost != 0 || len(events) != 8 {
 			t.Fatalf("round %d: %d events, lost %d", round, len(events), lost)

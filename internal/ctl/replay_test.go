@@ -136,7 +136,7 @@ func TestWatchReplayGap(t *testing.T) {
 	rig := newReplayRig(t, 16)
 	cli := rig.client(t, "gap-cli")
 
-	// Prime the hub (first v2 watch creates it), then age out seq 1.
+	// Prime the hub (the first watch creates it), then age out seq 1.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if _, err := cli.Watch(ctx, "prime.*"); err != nil {
@@ -165,7 +165,7 @@ func TestWatchReplayGap(t *testing.T) {
 }
 
 // TestWatchRingOverflowConservation overflows a tiny ring end-to-end
-// and checks the v2 loss books: every published event is delivered or
+// and checks the loss books: every published event is delivered or
 // counted in Lost, the loss is real (the ring was 64 deep under a 3000
 // event burst), and the server-side drop counter accounts for every
 // in-band loss the ring caused.
@@ -214,110 +214,4 @@ drain:
 		t.Fatalf("drop counter moved %d, in-band lost %d — ring drops must hit /metrics exactly", metric, lost)
 	}
 	t.Logf("published %d, delivered %d, lost %d", published, delivered, lost)
-}
-
-// TestWatchMixedProtoPeers proves both off-diagonal cells of the watch
-// compat matrix. A v1 client against a v2 server gets the per-event gob
-// stream (no seqs, events intact). A v2 client against a v1-era server
-// — simulated with the old handler shape: gob-only decode, empty reply,
-// per-event gob pushes — detects the downgrade from the missing ack,
-// streams fine, and refuses a replay request with ErrUnsupported
-// instead of silently watching live.
-func TestWatchMixedProtoPeers(t *testing.T) {
-	t.Run("v1-client/v2-server", func(t *testing.T) {
-		rig := newReplayRig(t, 128)
-		cli := rig.client(t, "v1-cli")
-		cli.ForceProto = 1
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		stream, err := cli.Watch(ctx, "replay.*")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rig.publish(3, 0)
-		for i := 0; i < 3; i++ {
-			ev := recv(t, stream)
-			if ev.Seq != 0 {
-				t.Fatalf("v1 stream carried seq %d", ev.Seq)
-			}
-			if ev.Event.Attr("i") != fmt.Sprint(i) {
-				t.Fatalf("event %d carries i=%q", i, ev.Event.Attr("i"))
-			}
-		}
-	})
-
-	t.Run("v2-client/v1-server", func(t *testing.T) {
-		fabric := transport.NewLocalFabric(nil)
-		srvEp, err := fabric.Attach("old-srv", "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The v1-era server: decodes the subscribe into the old request
-		// shape (gob drops the Proto/FromSeq fields a new client sends),
-		// replies with no payload, and pushes each event as its own gob
-		// frame on MsgEvent.
-		type oldWatchReq struct {
-			ID      uint64
-			Pattern string
-		}
-		type oldEventMsg struct {
-			ID    uint64
-			Lost  uint64
-			Event ctxkernel.Event
-		}
-		// Cap 4: the refused replay attempt also subscribes before the
-		// client tears it down, and the handler must never block.
-		subscribed := make(chan oldWatchReq, 4)
-		srvEp.Handle(ctl.MsgWatch, func(msg transport.Message) ([]byte, error) {
-			var req oldWatchReq
-			if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
-				return nil, err
-			}
-			subscribed <- req
-			go func() {
-				for i := 0; i < 3; i++ {
-					payload, _ := transport.Encode(oldEventMsg{ID: req.ID, Event: ctxkernel.Event{
-						Topic: "replay.tick", Source: "old-srv",
-						Attrs: map[string]string{"i": fmt.Sprint(i)},
-					}})
-					_ = srvEp.Send(msg.From, ctl.MsgEvent, payload)
-				}
-			}()
-			return nil, nil
-		})
-		srvEp.Handle(ctl.MsgUnwatch, func(transport.Message) ([]byte, error) { return nil, nil })
-
-		cliEp, err := fabric.Attach("new-cli", "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cli := ctl.NewClient(cliEp, "old-srv")
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-
-		// Replay against a v1 server: typed refusal, not silent live.
-		if _, err := cli.WatchFrom(ctx, "replay.*", 7); !errors.Is(err, ctl.ErrUnsupported) {
-			t.Fatalf("replay against v1 server: err = %v, want ErrUnsupported", err)
-		}
-
-		// Plain watch negotiates down to the gob stream.
-		stream, err := cli.Watch(ctx, "replay.*")
-		if err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case <-subscribed:
-		case <-time.After(5 * time.Second):
-			t.Fatal("old server never saw the subscribe")
-		}
-		for i := 0; i < 3; i++ {
-			ev := recv(t, stream)
-			if ev.Seq != 0 {
-				t.Fatalf("downgraded stream carried seq %d", ev.Seq)
-			}
-			if ev.Event.Attr("i") != fmt.Sprint(i) {
-				t.Fatalf("event %d carries i=%q", i, ev.Event.Attr("i"))
-			}
-		}
-	})
 }

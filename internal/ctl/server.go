@@ -42,13 +42,7 @@ type Backend struct {
 	Kernel *ctxkernel.Kernel
 }
 
-// watchQueueLen bounds each watcher's server-side buffer. Kernel
-// handlers must never block the publisher, so an undrained watcher
-// drops events (counted, reported in-band as WatchEvent.Lost) instead
-// of stalling the bus.
-const watchQueueLen = 256
-
-// Defaults for the v2 stream: the replay ring's capacity in events, the
+// Defaults for the watch stream: the replay ring's capacity in events, the
 // batching window a pusher waits after waking before it collects, and
 // the largest number of events packed into one push frame.
 const (
@@ -57,30 +51,15 @@ const (
 	maxEventBatch      = 512
 )
 
-// watcher is one live watch subscription.
-type watcher struct {
-	client string // subscriber endpoint name (the push destination)
-	id     uint64 // client-chosen watch id
-	subID  int    // kernel subscription to tear down
-	queue  chan ctxkernel.Event
-	done   chan struct{}
-	once   sync.Once
-
-	mu   sync.Mutex
-	lost uint64
-}
-
-func (w *watcher) close() { w.once.Do(func() { close(w.done) }) }
-
-// --- v2 stream: one shared sequenced ring, per-watch cursors. ---
+// --- Watch stream: one shared sequenced ring, per-watch cursors. ---
 
 // watchHub is the server's replay ring: every kernel event, stamped
 // with a monotonic sequence number (the first event published after
 // the hub exists gets seq 1), retained in a fixed-capacity ring. Each
-// v2 watch is just a cursor into it plus a topic pattern, which is what
+// watch is just a cursor into it plus a topic pattern, which is what
 // makes replay work across client reconnects — the ring belongs to the
 // server, not to any one watch. The hub is created lazily on the first
-// v2 watch and lives until the server closes.
+// watch and lives until the server closes.
 type watchHub struct {
 	kernel *ctxkernel.Kernel
 	subID  int
@@ -88,13 +67,13 @@ type watchHub struct {
 	mu       sync.Mutex
 	buf      []seqEvent // ring: seq s lives at buf[(s-1) % len]
 	next     uint64     // seq the next published event will get
-	watchers map[*v2watcher]struct{}
+	watchers map[*watcher]struct{}
 }
 
-// v2watcher is one live v2 watch: a cursor into the hub's ring. The
-// cursor is guarded by the hub mutex (the pusher advances it, the
-// subscribe path sets it).
-type v2watcher struct {
+// watcher is one live watch: a cursor into the hub's ring. The cursor
+// is guarded by the hub mutex (the pusher advances it, the subscribe
+// path sets it).
+type watcher struct {
 	client  string
 	id      uint64
 	pattern string
@@ -104,16 +83,16 @@ type v2watcher struct {
 	once    sync.Once
 }
 
-func (w *v2watcher) close() { w.once.Do(func() { close(w.done) }) }
+func (w *watcher) close() { w.once.Do(func() { close(w.done) }) }
 
 func newWatchHub(kernel *ctxkernel.Kernel, size int) *watchHub {
 	h := &watchHub{
 		kernel:   kernel,
 		buf:      make([]seqEvent, size),
 		next:     1,
-		watchers: make(map[*v2watcher]struct{}),
+		watchers: make(map[*watcher]struct{}),
 	}
-	// One kernel subscription feeds every v2 watch; per-watch filtering
+	// One kernel subscription feeds every watch; per-watch filtering
 	// happens at collect time with the kernel's own matching rule.
 	h.subID = kernel.Subscribe("*", h.append)
 	return h
@@ -147,7 +126,7 @@ func (h *watchHub) oldestLocked() uint64 {
 // ring before the cursor reached them. lost is an upper bound on the
 // watch's real loss: aged-out events are gone, so the hub cannot know
 // which of them would have matched the pattern.
-func (h *watchHub) collect(w *v2watcher, max int) (events []seqEvent, lost uint64) {
+func (h *watchHub) collect(w *watcher, max int) (events []seqEvent, lost uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if oldest := h.oldestLocked(); w.cursor < oldest {
@@ -165,7 +144,7 @@ func (h *watchHub) collect(w *v2watcher, max int) (events []seqEvent, lost uint6
 }
 
 // remove retires a pusher and closes its done channel.
-func (h *watchHub) remove(w *v2watcher) {
+func (h *watchHub) remove(w *watcher) {
 	h.mu.Lock()
 	delete(h.watchers, w)
 	h.mu.Unlock()
@@ -182,30 +161,25 @@ type Server struct {
 	// no caller deadline). Zero takes a minute — migrations move real
 	// megabytes.
 	OpTimeout time.Duration
-	// RingSize is the v2 replay ring's capacity in events (zero takes
+	// RingSize is the replay ring's capacity in events (zero takes
 	// defaultRingSize). Set before the first watch arrives.
 	RingSize int
-	// FlushWindow is how long a v2 pusher waits after a publish kick
+	// FlushWindow is how long a pusher waits after a publish kick
 	// before collecting a batch, trading one window of latency for
 	// fewer, fuller push frames. Zero takes defaultFlushWindow;
 	// negative flushes immediately.
 	FlushWindow time.Duration
 
-	mu        sync.Mutex
-	watchers  map[string]map[uint64]*watcher   // v1: client endpoint -> id -> watcher
-	watchers2 map[string]map[uint64]*v2watcher // v2: client endpoint -> id -> cursor watch
-	hub       *watchHub                        // created on first v2 watch
-	pushers   sync.WaitGroup                   // live pushV2 goroutines; Close joins them
-	closed    bool
+	mu       sync.Mutex
+	watchers map[string]map[uint64]*watcher // client endpoint -> id -> cursor watch
+	hub      *watchHub                      // created on first watch
+	pushers  sync.WaitGroup                 // live push goroutines; Close joins them
+	closed   bool
 }
 
 // NewServer creates a control-plane server over b.
 func NewServer(b Backend) *Server {
-	return &Server{
-		b:         b,
-		watchers:  make(map[string]map[uint64]*watcher),
-		watchers2: make(map[string]map[uint64]*v2watcher),
-	}
+	return &Server{b: b, watchers: make(map[string]map[uint64]*watcher)}
 }
 
 func (s *Server) ringSize() int {
@@ -336,34 +310,23 @@ func (s *Server) Serve(ep *transport.Endpoint) *Server {
 		if s.b.PushBundle == nil {
 			return nil, fmt.Errorf("%w: bundle-push", ErrUnsupported)
 		}
-		var name string
-		var raw []byte
-		// The hot path is a v2 fast frame (no gob copy of a
-		// multi-megabyte payload); a v1 gob seal is the fallback. Any
-		// other version byte falls through to DecodeSealed's typed
-		// ErrVersion refusal.
-		if transport.IsFast(msg.Payload) {
-			op, body, err := transport.OpenFast(msg.Payload)
-			if err != nil {
-				return nil, err
-			}
-			if op != transport.OpBundlePush {
-				return nil, fmt.Errorf("ctl: bundle-push got fast opcode %#x", op)
-			}
-			r := transport.NewFastReader(body)
-			name = r.String()
-			// FastReader.Bytes aliases the frame; the bundle outlives
-			// this handler (it lands in the store), so copy.
-			raw = append([]byte(nil), r.Bytes()...)
-			if err := r.Err(); err != nil {
-				return nil, err
-			}
-		} else {
-			var req bundlePushReq
-			if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
-				return nil, err
-			}
-			name, raw = req.Name, req.Raw
+		// Only a v2 fast frame is accepted (no gob copy of a
+		// multi-megabyte payload): OpenFast refuses a gob seal, or any
+		// other version byte, with the typed ErrVersion.
+		op, body, err := transport.OpenFast(msg.Payload)
+		if err != nil {
+			return nil, err
+		}
+		if op != transport.OpBundlePush {
+			return nil, fmt.Errorf("ctl: bundle-push got fast opcode %#x", op)
+		}
+		r := transport.NewFastReader(body)
+		name := r.String()
+		// FastReader.Bytes aliases the frame; the bundle outlives this
+		// handler (it lands in the store), so copy.
+		raw := append([]byte(nil), r.Bytes()...)
+		if err := r.Err(); err != nil {
+			return nil, err
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), s.timeout())
 		defer cancel()
@@ -410,12 +373,13 @@ func (s *Server) Serve(ep *transport.Endpoint) *Server {
 		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
 			return nil, err
 		}
-		if req.Proto >= transport.ProtoV2 {
-			return s.addWatchV2(ep, msg.From, req)
+		if req.Proto < transport.ProtoV2 {
+			// A pre-v2 subscribe (no Proto field) expects per-event gob
+			// pushes this server no longer sends.
+			return nil, fmt.Errorf("%w: watch protocol %d, server streams protocol %d",
+				ErrUnsupported, req.Proto, transport.ProtoV2)
 		}
-		// v1 clients cannot carry FromSeq (the field postdates them), so
-		// the legacy path ignores it — exactly what a pre-v2 server did.
-		return nil, s.addWatch(ep, msg.From, req)
+		return s.addWatch(ep, msg.From, req)
 	})
 	ep.Handle(MsgUnwatch, func(msg transport.Message) ([]byte, error) {
 		var req unwatchReq
@@ -428,97 +392,19 @@ func (s *Server) Serve(ep *transport.Endpoint) *Server {
 	return s
 }
 
-// Watch delivery accounting, process-wide: enqueued events and events
-// dropped because a watcher's queue was full (also reported in-band as
-// WatchEvent.Lost).
+// Watch delivery accounting, process-wide: events pushed to watchers
+// and events that aged out of the replay ring before a watch's cursor
+// reached them (also reported in-band as WatchEvent.Lost).
 var (
 	mWatchEvents = obs.Default.Counter("mdagent_ctl_watch_events_total")
 	mWatchDrops  = obs.Default.Counter("mdagent_ctl_watch_dropped_total")
 )
 
-// addWatch subscribes a client to the kernel and starts its pusher.
-func (s *Server) addWatch(ep *transport.Endpoint, client string, req watchReq) error {
-	if s.b.Kernel == nil {
-		return fmt.Errorf("%w: watch", ErrUnsupported)
-	}
-	if client == "" {
-		return fmt.Errorf("ctl: watch request carries no reply endpoint")
-	}
-	pattern := req.Pattern
-	if pattern == "" {
-		pattern = "*"
-	}
-	w := &watcher{
-		client: client, id: req.ID,
-		queue: make(chan ctxkernel.Event, watchQueueLen),
-		done:  make(chan struct{}),
-	}
-	// Subscribe before registering, so a racing unwatch always sees a
-	// fully formed watcher. The kernel handler runs on publisher
-	// goroutines and must be quick: enqueue or drop, never block.
-	w.subID = s.b.Kernel.Subscribe(pattern, func(ev ctxkernel.Event) {
-		select {
-		case w.queue <- ev:
-			mWatchEvents.Inc()
-		default:
-			mWatchDrops.Inc()
-			w.mu.Lock()
-			w.lost++
-			w.mu.Unlock()
-		}
-	})
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.b.Kernel.Unsubscribe(w.subID)
-		return fmt.Errorf("ctl: server closed")
-	}
-	byID := s.watchers[client]
-	if byID == nil {
-		byID = make(map[uint64]*watcher)
-		s.watchers[client] = byID
-	}
-	if old, ok := byID[req.ID]; ok {
-		// Same client re-subscribing an id: replace (idempotent retry).
-		s.removeLocked(old)
-	}
-	byID[req.ID] = w
-	s.mu.Unlock()
-	go s.push(ep, w)
-	return nil
-}
-
-// push drains one watcher's queue into one-way ctl.event messages. A
-// send failure (client gone, link dead) retires the watch — transport
-// learned-routes make sends to a departed client fail rather than hang.
-func (s *Server) push(ep *transport.Endpoint, w *watcher) {
-	for {
-		select {
-		case <-w.done:
-			return
-		case ev := <-w.queue:
-			w.mu.Lock()
-			lost := w.lost
-			w.lost = 0
-			w.mu.Unlock()
-			payload, err := transport.Encode(eventMsg{ID: w.id, Lost: lost, Event: ev})
-			if err != nil {
-				continue // unencodable event: drop it, keep the watch
-			}
-			if err := ep.Send(w.client, MsgEvent, payload); err != nil {
-				s.dropWatch(w.client, w.id)
-				return
-			}
-		}
-	}
-}
-
-// addWatchV2 registers a cursor watch on the replay ring and answers
-// with a watchAck (the reply payload's presence is what tells the
-// client it got a v2 stream). FromSeq outside the ring's retained
-// window is refused with ErrReplayGap — replaying silently from
-// somewhere else would break the "re-deliver instead of drop" promise.
-func (s *Server) addWatchV2(ep *transport.Endpoint, client string, req watchReq) ([]byte, error) {
+// addWatch registers a cursor watch on the replay ring and answers
+// with a watchAck. FromSeq outside the ring's retained window is
+// refused with ErrReplayGap — replaying silently from somewhere else
+// would break the "re-deliver instead of drop" promise.
+func (s *Server) addWatch(ep *transport.Endpoint, client string, req watchReq) ([]byte, error) {
 	if s.b.Kernel == nil {
 		return nil, fmt.Errorf("%w: watch", ErrUnsupported)
 	}
@@ -540,7 +426,7 @@ func (s *Server) addWatchV2(ep *transport.Endpoint, client string, req watchReq)
 	hub := s.hub
 	s.mu.Unlock()
 
-	w := &v2watcher{
+	w := &watcher{
 		client: client, id: req.ID, pattern: pattern,
 		kick: make(chan struct{}, 1),
 		done: make(chan struct{}),
@@ -566,10 +452,10 @@ func (s *Server) addWatchV2(ep *transport.Endpoint, client string, req watchReq)
 		hub.remove(w)
 		return nil, fmt.Errorf("ctl: server closed")
 	}
-	byID := s.watchers2[client]
+	byID := s.watchers[client]
 	if byID == nil {
-		byID = make(map[uint64]*v2watcher)
-		s.watchers2[client] = byID
+		byID = make(map[uint64]*watcher)
+		s.watchers[client] = byID
 	}
 	if old, ok := byID[req.ID]; ok {
 		hub.remove(old) // idempotent re-subscribe: replace
@@ -583,14 +469,16 @@ func (s *Server) addWatchV2(ep *transport.Endpoint, client string, req watchReq)
 	if w.cursor < next {
 		w.kick <- struct{}{} // replay backlog: wake the pusher immediately
 	}
-	go s.pushV2(ep, hub, w)
+	go s.push(ep, hub, w)
 	return transport.Encode(watchAck{Proto: transport.ProtoV2, Next: next, Ring: ring})
 }
 
-// pushV2 drains one cursor watch into batched fast-frame pushes: wake
-// on a publish kick, linger one flush window so a burst coalesces, then
-// collect and send full batches until the cursor catches the ring.
-func (s *Server) pushV2(ep *transport.Endpoint, hub *watchHub, w *v2watcher) {
+// push drains one cursor watch into batched fast-frame pushes: wake on
+// a publish kick, linger one flush window so a burst coalesces, then
+// collect and send full batches until the cursor catches the ring. A
+// send failure (client gone, link dead) retires the watch — transport
+// learned-routes make sends to a departed client fail rather than hang.
+func (s *Server) push(ep *transport.Endpoint, hub *watchHub, w *watcher) {
 	defer s.pushers.Done()
 	flush := s.flushWindow()
 	for {
@@ -638,28 +526,14 @@ func (s *Server) dropWatch(client string, id uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if w, ok := s.watchers[client][id]; ok {
-		s.removeLocked(w)
+		if s.hub != nil {
+			s.hub.remove(w)
+		}
 		delete(s.watchers[client], id)
 		if len(s.watchers[client]) == 0 {
 			delete(s.watchers, client)
 		}
 	}
-	if w, ok := s.watchers2[client][id]; ok {
-		if s.hub != nil {
-			s.hub.remove(w)
-		}
-		delete(s.watchers2[client], id)
-		if len(s.watchers2[client]) == 0 {
-			delete(s.watchers2, client)
-		}
-	}
-}
-
-func (s *Server) removeLocked(w *watcher) {
-	if s.b.Kernel != nil {
-		s.b.Kernel.Unsubscribe(w.subID)
-	}
-	w.close()
 }
 
 // Close retires every live watch and the replay hub, then joins the
@@ -672,19 +546,12 @@ func (s *Server) Close() {
 	s.closed = true
 	for client, byID := range s.watchers {
 		for id, w := range byID {
-			s.removeLocked(w)
-			delete(byID, id)
-		}
-		delete(s.watchers, client)
-	}
-	for client, byID := range s.watchers2 {
-		for id, w := range byID {
 			if s.hub != nil {
 				s.hub.remove(w)
 			}
 			delete(byID, id)
 		}
-		delete(s.watchers2, client)
+		delete(s.watchers, client)
 	}
 	if s.hub != nil {
 		s.hub.close()

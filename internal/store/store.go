@@ -244,10 +244,9 @@ func newStore(dir string, o Options) *Store {
 }
 
 // Open opens (or creates) a durable store rooted at path, replaying the
-// write-ahead log to recover state. A regular file at path — a log
-// written by the seed single-file store — is migrated into the new
-// layout first (crash-safely: the legacy file is parked at
-// path+".legacy" until the converted store is on disk).
+// write-ahead log to recover state. path must be a directory or absent:
+// a regular file there is refused with an error naming the path, and
+// is left untouched.
 func Open(path string, opts ...Option) (*Store, error) {
 	o := Options{}
 	for _, fn := range opts {
@@ -255,9 +254,6 @@ func Open(path string, opts ...Option) (*Store, error) {
 	}
 	o = o.withDefaults()
 
-	if err := migrateLegacyIfNeeded(path); err != nil {
-		return nil, err
-	}
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open: %w", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -496,55 +497,40 @@ func TestBlobGC(t *testing.T) {
 	}
 }
 
-// A pre-PR-8 single-file gob log is migrated into the engine layout.
-func TestLegacyMigration(t *testing.T) {
+// Open refuses a regular file at the store path — a log from the seed
+// single-file store, or anything else — with an error naming the path,
+// and never renames, truncates or removes it.
+func TestOpenRefusesRegularFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "reg.log")
-	lg, err := OpenLegacy(path)
-	if err != nil {
+	want := []byte("\x1f\xff\x81\x03\x01\x01\x06record\x01\xff\x82 seed-format log bytes")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := lg.Put("a", []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.Put("b", []byte("2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.Delete("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	s, err := Open(path)
-	if err != nil {
-		t.Fatalf("Open over legacy log: %v", err)
+	if err == nil {
+		s.Close()
+		t.Fatal("Open accepted a regular file as a store directory")
 	}
-	if _, err := s.Get("a"); !errors.Is(err, ErrNotFound) {
-		t.Fatal("legacy-deleted key resurrected")
+	if !strings.Contains(err.Error(), path) {
+		t.Fatalf("Open error %q does not name the path %s", err, path)
 	}
-	if v, err := s.Get("b"); err != nil || string(v) != "2" {
-		t.Fatalf("Get(b) = %q, %v", v, err)
+	fi, err := os.Stat(path)
+	if err != nil || !fi.Mode().IsRegular() {
+		t.Fatalf("refused file no longer a regular file: %v", err)
 	}
-	if err := s.Put("c", []byte("3")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
-		t.Fatalf("store path not a directory after migration: %v", err)
-	}
-	if _, err := os.Stat(path + ".legacy"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("parked legacy file not removed after migration")
-	}
-	s2, err := Open(path)
+	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
-	if s2.Len() != 2 {
-		t.Fatalf("Len after migration reopen = %d, want 2", s2.Len())
+	if !bytes.Equal(got, want) {
+		t.Fatalf("refused file changed: %q, want %q", got, want)
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("Open left %d entries beside the refused file, want none", len(entries)-1)
 	}
 }
 

@@ -9,12 +9,11 @@ import (
 // ProtoV2 is the compact binary fast path. A v2 frame is
 // [version byte 0x02][opcode byte][binary body]: no gob type dictionary,
 // no reflection, just length-prefixed fields in a fixed per-opcode
-// layout. Gob (ProtoVersion=1 frames) stays the long-tail encoding and
-// the compatibility fallback: a v1 server refuses a v2 frame with a
-// typed ErrVersion reply (Open rejects the version byte), and the
-// client downgrades to gob for that peer. Only the hot ops — snapshot
-// puts and watch event pushes, plus their batched variants — have v2
-// layouts.
+// layout. Only the hot ops — snapshot puts (single and batched), watch
+// event pushes and bundle pushes — have v2 layouts, and they have no
+// other encoding: their handlers open frames with OpenFast, which
+// refuses a gob seal with a typed ErrVersion. Every other op stays a
+// gob seal (ProtoVersion=1 frames, see Open).
 const ProtoV2 byte = 2
 
 // MaxProto is the newest protocol version this build speaks; servers
@@ -50,9 +49,8 @@ func SealFast(op byte, body []byte) []byte {
 	return out
 }
 
-// IsFast reports whether payload is a v2 fast frame. Handlers that
-// serve both encodings sniff this before choosing a decode path; a gob
-// seal always starts with ProtoVersion (1), so the byte is unambiguous.
+// IsFast reports whether payload is a v2 fast frame; a gob seal always
+// starts with ProtoVersion (1), so the byte is unambiguous.
 func IsFast(payload []byte) bool {
 	return len(payload) >= 2 && payload[0] == ProtoV2
 }

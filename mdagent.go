@@ -372,8 +372,9 @@ const ControlAlias = ctl.Alias
 
 // ProtoVersion is the newest control-plane (and registry/snapshot)
 // wire protocol version this build speaks — what ServerInfo.Proto
-// reports. v2 adds the binary fast path for snapshot puts and watch
-// pushes; every op still interoperates with v1 peers via negotiation.
+// reports. The hot ops — snapshot puts, bundle pushes and watch
+// pushes — are v2 binary fast frames only; every other op is a v1 gob
+// seal, so peers one release apart still interoperate on them.
 const ProtoVersion = transport.MaxProto
 
 // Typed sentinel errors shared by in-process and remote callers.
