@@ -63,8 +63,8 @@ const (
 	// MsgTrace returns an app's latest migration trace (obs.MigrationTrace).
 	MsgTrace = "ctl.trace"
 	// MsgEventV2 is the watch stream push: one-way fast frames
-	// (transport.OpEventBatch) carrying a whole flush window of
-	// sequenced events.
+	// (transport.OpEventBatch), each carrying every sequenced event the
+	// pusher found waiting when it collected (up to 512).
 	MsgEventV2 = "ctl.eventv2"
 )
 

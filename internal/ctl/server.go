@@ -42,13 +42,11 @@ type Backend struct {
 	Kernel *ctxkernel.Kernel
 }
 
-// Defaults for the watch stream: the replay ring's capacity in events, the
-// batching window a pusher waits after waking before it collects, and
-// the largest number of events packed into one push frame.
+// Defaults for the watch stream: the replay ring's capacity in events
+// and the largest number of events packed into one push frame.
 const (
-	defaultRingSize    = 8192
-	defaultFlushWindow = 500 * time.Microsecond
-	maxEventBatch      = 512
+	defaultRingSize = 8192
+	maxEventBatch   = 512
 )
 
 // --- Watch stream: one shared sequenced ring, per-watch cursors. ---
@@ -164,11 +162,6 @@ type Server struct {
 	// RingSize is the replay ring's capacity in events (zero takes
 	// defaultRingSize). Set before the first watch arrives.
 	RingSize int
-	// FlushWindow is how long a pusher waits after a publish kick
-	// before collecting a batch, trading one window of latency for
-	// fewer, fuller push frames. Zero takes defaultFlushWindow;
-	// negative flushes immediately.
-	FlushWindow time.Duration
 
 	mu       sync.Mutex
 	watchers map[string]map[uint64]*watcher // client endpoint -> id -> cursor watch
@@ -187,13 +180,6 @@ func (s *Server) ringSize() int {
 		return s.RingSize
 	}
 	return defaultRingSize
-}
-
-func (s *Server) flushWindow() time.Duration {
-	if s.FlushWindow != 0 {
-		return s.FlushWindow
-	}
-	return defaultFlushWindow
 }
 
 func (s *Server) timeout() time.Duration {
@@ -474,27 +460,18 @@ func (s *Server) addWatch(ep *transport.Endpoint, client string, req watchReq) (
 }
 
 // push drains one cursor watch into batched fast-frame pushes: wake on
-// a publish kick, linger one flush window so a burst coalesces, then
-// collect and send full batches until the cursor catches the ring. A
-// send failure (client gone, link dead) retires the watch — transport
-// learned-routes make sends to a departed client fail rather than hang.
+// a publish kick, then collect and send batches until the cursor
+// catches the ring. Events published while a send is in flight form
+// the next batch, so a burst batches without a timer. A send failure
+// (client gone, link dead) retires the watch — transport learned-routes
+// make sends to a departed client fail rather than hang.
 func (s *Server) push(ep *transport.Endpoint, hub *watchHub, w *watcher) {
 	defer s.pushers.Done()
-	flush := s.flushWindow()
 	for {
 		select {
 		case <-w.done:
 			return
 		case <-w.kick:
-		}
-		if flush > 0 {
-			timer := time.NewTimer(flush)
-			select {
-			case <-w.done:
-				timer.Stop()
-				return
-			case <-timer.C:
-			}
 		}
 		for {
 			select {

@@ -49,12 +49,6 @@ func SealFast(op byte, body []byte) []byte {
 	return out
 }
 
-// IsFast reports whether payload is a v2 fast frame; a gob seal always
-// starts with ProtoVersion (1), so the byte is unambiguous.
-func IsFast(payload []byte) bool {
-	return len(payload) >= 2 && payload[0] == ProtoV2
-}
-
 // OpenFast validates a v2 frame and returns its opcode and body. A
 // frame of another version fails with ErrVersion, exactly as Open does
 // for non-v1 frames, so both directions of a version mismatch surface

@@ -8,8 +8,6 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"strings"
@@ -81,31 +79,4 @@ func (e *RemoteError) Is(target error) bool {
 	t, ok := wireSentinels[target]
 	sentinelMu.Unlock()
 	return ok && t != "" && strings.Contains(e.Msg, t)
-}
-
-// Encode gob-encodes a value into a payload.
-func Encode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("transport: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// MustEncode is Encode for values that cannot fail (no channels/funcs);
-// it panics on error and is intended for fixed internal types.
-func MustEncode(v any) []byte {
-	b, err := Encode(v)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-// Decode gob-decodes a payload into v (a pointer).
-func Decode(payload []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("transport: decode: %w", err)
-	}
-	return nil
 }
