@@ -49,6 +49,7 @@ import (
 	"mdagent/internal/app"
 	"mdagent/internal/bundle"
 	"mdagent/internal/cluster"
+	"mdagent/internal/core"
 	"mdagent/internal/ctl"
 	"mdagent/internal/ctxkernel"
 	"mdagent/internal/demoapps"
@@ -59,28 +60,24 @@ import (
 	"mdagent/internal/registry"
 	"mdagent/internal/state"
 	"mdagent/internal/transport"
+	"mdagent/internal/vclock"
 	"mdagent/internal/wsdl"
 )
 
-// skeletonApp describes an installable demo-app skeleton — the single
-// source of truth for what -install accepts and how it wires up.
-type skeletonApp struct {
-	desc       wsdl.Description
-	components []string
-	factory    func(host string) *app.Application
-}
-
-func skeletonApps() map[string]skeletonApp {
-	return map[string]skeletonApp{
+// skeletonApps are the compiled-in demo-app skeletons — the single
+// source of truth for what -install and ctl install accept without a
+// bundle.
+func skeletonApps() map[string]core.Skeleton {
+	return map[string]core.Skeleton{
 		"smart-media-player": {
-			desc:       demoapps.MediaPlayerDesc(),
-			components: demoapps.MediaPlayerSkeletonComponents(),
-			factory:    func(h string) *app.Application { return demoapps.MediaPlayerSkeleton(h) },
+			Description: demoapps.MediaPlayerDesc(),
+			Components:  demoapps.MediaPlayerSkeletonComponents(),
+			Factory:     func(h string) *app.Application { return demoapps.MediaPlayerSkeleton(h) },
 		},
 		"ubiquitous-slideshow": {
-			desc:       demoapps.SlideShowDesc(),
-			components: demoapps.SlideShowSkeletonComponents(),
-			factory:    func(h string) *app.Application { return demoapps.SlideShowSkeleton(h) },
+			Description: demoapps.SlideShowDesc(),
+			Components:  demoapps.SlideShowSkeletonComponents(),
+			Factory:     func(h string) *app.Application { return demoapps.SlideShowSkeleton(h) },
 		},
 	}
 }
@@ -222,6 +219,14 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 	// stream: membership transitions, replication publishes, and
 	// lifecycle outcomes all surface here as typed events.
 	kernel := ctxkernel.NewKernel()
+	rt := &core.HostRuntime{
+		Host: *host, Space: *space, Engine: eng, Library: lib,
+		Records: cat, Kernel: kernel, Clock: &vclock.Real{},
+		Bundles: core.BundleGate{Trusted: trusted, Secrets: secrets},
+	}
+	for name, sk := range skeletons {
+		rt.AddSkeleton(name, sk)
+	}
 
 	// Federated mode: gossip membership with every peer host, multiplexed
 	// onto the engine endpoint.
@@ -259,7 +264,6 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 	// deployment joins the state pipeline (and failover restores) exactly
 	// like an in-process one.
 	var snapCli *cluster.SnapshotClient
-	var repl *state.Replicator
 	if *space != "" {
 		// The snapshot client doubles as the control plane's window onto
 		// the center's replicated snapshot heads, so it exists in every
@@ -275,19 +279,8 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 		if *concern != "" {
 			snapCli.SetWriteConcern(wc)
 		}
-		repl = state.NewReplicator(*host, *space, eng.Apps, snapCli, nil, *replicate, state.Tuning{})
-		repl.OnPublish(func(put state.SnapshotPut, stamp state.SnapshotStamp) {
-			kind := "full"
-			if put.Delta {
-				kind = "delta"
-			}
-			kernel.PublishTyped("state", ctxkernel.StateReplicatedEvent{
-				App: put.App, Host: put.Host, FrameKind: kind,
-				Seq: stamp.Seq, Bytes: len(put.Frame), Chain: stamp.Chain, At: put.At,
-			})
-		})
-		repl.Start()
-		defer repl.Stop()
+		rt.Replicate(state.NewReplicator(*host, *space, eng.Apps, snapCli, nil, *replicate, state.Tuning{}))
+		defer rt.Replicator.Stop()
 		if wc != cluster.WriteAsync {
 			fmt.Fprintf(out, "mdagentd[%s]: replicating application state every %v (write concern %s)\n", *host, *replicate, wc)
 		} else {
@@ -300,7 +293,7 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 	// (cmd/mdctl) needs only the listen address to run, stop, migrate,
 	// inspect, and watch this host.
 	node.AddAlias(ctl.Alias)
-	ctlSrv := ctl.NewServer(daemonBackend(*host, *space, eng, cat, member, snapCli, repl, skeletons, kernel, trusted, secrets))
+	ctlSrv := ctl.NewServer(daemonBackend(rt, cat, member, snapCli))
 	ctlSrv.Serve(node.Endpoint())
 	defer ctlSrv.Close()
 
@@ -314,12 +307,7 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 	}
 
 	if *install != "" {
-		sk := skeletons[*install]
-		eng.InstallFactory(*install, sk.factory)
-		if err := cat.RegisterApp(ctx, registry.AppRecord{
-			Name: *install, Host: *host, Space: *space,
-			Description: sk.desc, Components: sk.components,
-		}); err != nil {
+		if err := rt.Install(ctx, *install); err != nil {
 			return fmt.Errorf("register skeleton: %w", err)
 		}
 		fmt.Fprintf(out, "mdagentd[%s]: installed %s skeleton\n", *host, *install)
@@ -328,16 +316,8 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 	if *runApp == "smart-media-player" {
 		song := media.GenerateFile("song1", *songBytes, 3)
 		lib.Add(song)
-		player := demoapps.NewMediaPlayer(*host, song)
-		if err := eng.Run(player); err != nil {
-			return err
-		}
-		if err := cat.RegisterApp(ctx, registry.AppRecord{
-			Name: "smart-media-player", Host: *host, Space: *space,
-			Description: demoapps.MediaPlayerDesc(), Components: player.Components(),
-			Running: true,
-		}); err != nil {
-			return fmt.Errorf("register app: %w", err)
+		if err := rt.Run(ctx, demoapps.NewMediaPlayer(*host, song)); err != nil {
+			return fmt.Errorf("run smart-media-player: %w", err)
 		}
 		if err := cat.RegisterResource(ctx, demoapps.MusicResource(song, *host)); err != nil {
 			return fmt.Errorf("register resource: %w", err)
@@ -382,9 +362,9 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 	// peers convict this host immediately instead of burning a suspicion
 	// window on it. Both steps are best-effort — a SIGTERM race with a
 	// dead center must not hang the shutdown.
-	if repl != nil {
+	if rt.Replicator != nil {
 		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-		_ = repl.SyncNow(sctx)
+		_ = rt.Replicator.SyncNow(sctx)
 		scancel()
 	}
 	if member != nil {

@@ -238,18 +238,18 @@ func storeDesc(path string) string {
 	return path
 }
 
-// Bundle accounting — the same metric names every mdagent process
-// registers, so /metrics reads identically across the fleet.
-var (
-	mBundlePushes   = obs.Default.Counter("mdagent_bundle_pushes_total")
-	mBundleRejected = obs.Default.Counter("mdagent_bundle_rejected_total")
-	mBundleBytes    = obs.Default.Counter("mdagent_bundle_bytes_total")
-)
-
 // registryBackend is the center's control-plane surface: registry views,
 // bundle distribution, and the Watch stream. Lifecycle operations stay
 // unsupported — a registry center runs no applications.
 func registryBackend(space string, reg *registry.Registry, center *cluster.Center, kernel *ctxkernel.Kernel, trusted []ed25519.PublicKey) ctl.Backend {
+	// The center is the trust gate for the whole federation: a push lands
+	// here once and replicates everywhere, so an unsigned or untrusted
+	// artifact must die here.
+	gate := core.BundleGate{Trusted: trusted}
+	put := func(_ context.Context, name string, raw []byte) error { return reg.PutBundle(name, raw) }
+	if center != nil {
+		put = center.PutBundle
+	}
 	b := ctl.Backend{
 		Info: func(context.Context) (ctl.ServerInfo, error) {
 			return ctl.ServerInfo{Role: "registry", Space: space}, nil
@@ -266,32 +266,7 @@ func registryBackend(space string, reg *registry.Registry, center *cluster.Cente
 			return ctl.JoinApps(recs, heads), nil
 		},
 		PushBundle: func(ctx context.Context, name string, raw []byte) error {
-			// The center is the trust gate for the whole federation: a
-			// push lands here once and replicates everywhere, so an
-			// unsigned or untrusted artifact must die here.
-			b, err := bundle.Open(raw, trusted)
-			if err != nil {
-				mBundleRejected.Inc()
-				return fmt.Errorf("mdregistry: refuse bundle %q: %w", name, err)
-			}
-			if b.Manifest.App != name {
-				mBundleRejected.Inc()
-				return fmt.Errorf("mdregistry: refuse bundle: %w: named %q but manifest declares %q",
-					bundle.ErrCorrupt, name, b.Manifest.App)
-			}
-			if center != nil {
-				// A durability shortfall still stored the bundle locally;
-				// anti-entropy finishes the fan-out (same contract as the
-				// registry write handlers).
-				if err := center.PutBundle(ctx, name, raw); err != nil && !errors.Is(err, state.ErrNotDurable) {
-					return err
-				}
-			} else if err := reg.PutBundle(name, raw); err != nil {
-				return err
-			}
-			mBundlePushes.Inc()
-			mBundleBytes.Add(int64(len(raw)))
-			return nil
+			return gate.Push(ctx, put, name, raw)
 		},
 		ListBundles: func(context.Context) ([]ctl.BundleInfo, error) {
 			infos, err := reg.Bundles()

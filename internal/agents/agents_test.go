@@ -135,7 +135,7 @@ func newAgentRig(t *testing.T) *agentRig {
 	}
 
 	// Platform: one container per host; MA and AA live on hostA.
-	plat := platform.NewPlatform(fab, net)
+	plat := platform.NewPlatform(fab)
 	contA, err := plat.NewContainer("container@hostA", "hostA")
 	if err != nil {
 		t.Fatal(err)

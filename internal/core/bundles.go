@@ -2,44 +2,118 @@ package core
 
 import (
 	"context"
+	"crypto/ed25519"
 	"fmt"
 	"sort"
 
+	"mdagent/internal/app"
 	"mdagent/internal/bundle"
+	"mdagent/internal/cluster"
 	"mdagent/internal/ctl"
 	"mdagent/internal/obs"
 	"mdagent/internal/registry"
 )
 
-// Bundle accounting, process-wide. The cmd daemons register the same
-// names into obs.Default, so /metrics reads identically whether the
-// deployment is in-process or multi-process.
+// Bundle accounting, process-wide and registered only here: every
+// process that gates bundles (the in-process Middleware, mdagentd,
+// mdregistry) books them through BundleGate, so /metrics reads the same
+// across the fleet. Definitions (DESIGN.md §10):
 var (
-	mBundlePushes   = obs.Default.Counter("mdagent_bundle_pushes_total")
-	mBundleInstalls = obs.Default.Counter("mdagent_bundle_installs_total")
+	// mBundleRejected counts bundles refused by verification or by
+	// instantiation.
 	mBundleRejected = obs.Default.Counter("mdagent_bundle_rejected_total")
-	mBundleBytes    = obs.Default.Counter("mdagent_bundle_bytes_total")
+	// mBundleBytes sums len(raw) of every bundle that passed verification.
+	mBundleBytes = obs.Default.Counter("mdagent_bundle_bytes_total")
+	// mBundlePushes counts pushes whose store returned nil or
+	// ErrNotDurable.
+	mBundlePushes = obs.Default.Counter("mdagent_bundle_pushes_total")
+	// mBundleInstalls counts bundle installs that were registered.
+	mBundleInstalls = obs.Default.Counter("mdagent_bundle_installs_total")
 )
+
+// BundlePut stores a verified bundle under its app name.
+type BundlePut func(ctx context.Context, name string, raw []byte) error
+
+// BundleGate is the trust gate every signed app bundle crosses: on push
+// at whichever process receives it, and again on install.
+type BundleGate struct {
+	// Trusted are the accepted publisher keys. None refuses every bundle
+	// with bundle.ErrUntrustedKey — trust is opt-in.
+	Trusted []ed25519.PublicKey
+	// Secrets resolves a manifest's ref:// secret references at
+	// instantiation.
+	Secrets bundle.Resolver
+}
+
+// Open verifies raw against the trusted keys and checks that the
+// manifest names the app the bundle is stored (or pushed) as — storing
+// it under any other key would let an installer fetch a verified but
+// wrong artifact.
+func (g BundleGate) Open(name string, raw []byte) (*bundle.Bundle, error) {
+	b, err := bundle.Open(raw, g.Trusted)
+	if err != nil {
+		mBundleRejected.Inc()
+		return nil, fmt.Errorf("core: refuse bundle %q: %w", name, err)
+	}
+	if b.Manifest.App != name {
+		mBundleRejected.Inc()
+		return nil, fmt.Errorf("core: refuse bundle: %w: named %q but manifest declares %q",
+			bundle.ErrCorrupt, name, b.Manifest.App)
+	}
+	mBundleBytes.Add(int64(len(raw)))
+	return b, nil
+}
+
+// Push verifies raw and stores it through put. A durability shortfall
+// counts as stored: the bundle landed locally, and anti-entropy finishes
+// the fan-out (the same contract as the registry write handlers).
+func (g BundleGate) Push(ctx context.Context, put BundlePut, name string, raw []byte) error {
+	if _, err := g.Open(name, raw); err != nil {
+		return err
+	}
+	if err := ignoreNotDurable(put(ctx, name, raw)); err != nil {
+		return err
+	}
+	mBundlePushes.Inc()
+	return nil
+}
+
+// instantiate verifies raw and assembles its application factory.
+func (g BundleGate) instantiate(name string, raw []byte) (*bundle.Bundle, func(host string) *app.Application, error) {
+	b, err := g.Open(name, raw)
+	if err != nil {
+		return nil, nil, err
+	}
+	factory, err := bundle.Instantiate(b, g.Secrets)
+	if err != nil {
+		mBundleRejected.Inc()
+		return nil, nil, fmt.Errorf("core: instantiate bundle %q: %w", name, err)
+	}
+	return b, factory, nil
+}
+
+// bundleGate is the deployment's gate, shared by every host.
+func (m *Middleware) bundleGate() BundleGate {
+	return BundleGate{Trusted: m.cfg.TrustedKeys, Secrets: m.cfg.Secrets}
+}
 
 // PushBundle verifies a signed app bundle against the deployment's
 // trusted keys and stores it: at the first space's federated center
 // when clustered (whence it replicates everywhere), else at the single
-// registry. The bundle must be named for its manifest's app — storing
-// it under any other key would let an installer fetch a verified-but-
-// wrong artifact.
+// registry.
 func (m *Middleware) PushBundle(ctx context.Context, name string, raw []byte) error {
-	if _, err := m.verifyBundle(name, raw); err != nil {
+	return m.bundleGate().Push(ctx, m.records("").PutBundle, name, raw)
+}
+
+// InstallBundle assembles an application factory from a stored, signed
+// bundle and installs it on host — the generic arm of InstallApp: no
+// compiled-in factory needed, the manifest is the skeleton.
+func (m *Middleware) InstallBundle(ctx context.Context, appName, host string) error {
+	rt, err := m.resolve(host, "")
+	if err != nil {
 		return err
 	}
-	mBundlePushes.Inc()
-	if m.Cluster != nil {
-		for _, space := range m.Cluster.Spaces() {
-			if center, ok := m.Cluster.Center(space); ok {
-				return ignoreNotDurable(center.PutBundle(ctx, name, raw))
-			}
-		}
-	}
-	return m.Registry.PutBundle(name, raw)
+	return rt.InstallBundle(ctx, appName)
 }
 
 // ListBundles lists the stored bundles, deduplicated across the
@@ -70,89 +144,6 @@ func (m *Middleware) ListBundles(context.Context) ([]registry.BundleInfo, error)
 	return out, nil
 }
 
-// InstallBundle assembles an application factory from a stored, signed
-// bundle and installs it on host — the generic arm of InstallApp: no
-// compiled-in factory needed, the manifest is the skeleton. The bundle
-// is re-verified here even though the push path already did, because in
-// a federation the bytes may have arrived via replication from a center
-// this deployment never vetted.
-func (m *Middleware) InstallBundle(ctx context.Context, appName, host string) error {
-	rt, ok := m.Host(host)
-	if !ok {
-		return fmt.Errorf("core: %w: %q", ctl.ErrUnknownHost, host)
-	}
-	raw, found, err := m.getBundle(ctx, rt.Space, appName)
-	if err != nil {
-		return err
-	}
-	if !found {
-		return fmt.Errorf("core: %w: %q (push its bundle first)", ctl.ErrUnknownApp, appName)
-	}
-	b, err := m.verifyBundle(appName, raw)
-	if err != nil {
-		return err
-	}
-	factory, err := bundle.Instantiate(b, m.cfg.Secrets)
-	if err != nil {
-		mBundleRejected.Inc()
-		return fmt.Errorf("core: instantiate bundle %q: %w", appName, err)
-	}
-	rt.Engine.InstallFactory(appName, factory)
-	specs := b.Manifest.Components
-	components := make([]string, 0, len(specs))
-	for _, spec := range specs {
-		components = append(components, spec.Name)
-	}
-	if err := m.registerApp(ctx, registry.AppRecord{
-		Name: appName, Host: host, Space: rt.Space,
-		Description: b.Manifest.Description, Components: components,
-	}); err != nil {
-		return err
-	}
-	mBundleInstalls.Inc()
-	return nil
-}
-
-// verifyBundle opens raw against the deployment's trusted keys and
-// checks the manifest names the app it was stored (or pushed) as. Every
-// refusal books a rejection metric; every acceptance books the payload
-// bytes.
-func (m *Middleware) verifyBundle(name string, raw []byte) (*bundle.Bundle, error) {
-	b, err := bundle.Open(raw, m.cfg.TrustedKeys)
-	if err != nil {
-		mBundleRejected.Inc()
-		return nil, fmt.Errorf("core: refuse bundle %q: %w", name, err)
-	}
-	if b.Manifest.App != name {
-		mBundleRejected.Inc()
-		return nil, fmt.Errorf("core: refuse bundle: %w: named %q but manifest declares %q",
-			bundle.ErrCorrupt, name, b.Manifest.App)
-	}
-	mBundleBytes.Add(int64(len(raw)))
-	return b, nil
-}
-
-// getBundle reads a stored bundle, preferring the installing host's own
-// space center (federation replication makes any center equivalent once
-// converged; mid-replication the local one is what the host can reach).
-func (m *Middleware) getBundle(ctx context.Context, space, name string) ([]byte, bool, error) {
-	if m.Cluster == nil {
-		return m.Registry.GetBundle(name)
-	}
-	spaces := append([]string{space}, m.Cluster.Spaces()...)
-	for _, sp := range spaces {
-		center, ok := m.Cluster.Center(sp)
-		if !ok {
-			continue
-		}
-		raw, found, err := center.GetBundle(ctx, name)
-		if err != nil || found {
-			return raw, found, err
-		}
-	}
-	return nil, false, nil
-}
-
 // ctlListBundles adapts ListBundles to the control plane's reply shape.
 func (m *Middleware) ctlListBundles(ctx context.Context) ([]ctl.BundleInfo, error) {
 	infos, err := m.ListBundles(ctx)
@@ -166,20 +157,68 @@ func (m *Middleware) ctlListBundles(ctx context.Context) ([]ctl.BundleInfo, erro
 	return out, nil
 }
 
-// ctlInstall serves the control plane's plain install op: a compiled-in
-// skeleton factory when the engine holds one, else the stored bundle,
-// else the typed ErrUnknownApp refusal.
-func (m *Middleware) ctlInstall(ctx context.Context, appName, host string) error {
-	rt, ok := m.Host(host)
-	if !ok {
-		return fmt.Errorf("core: %w: %q", ctl.ErrUnknownHost, host)
+// records is the in-process deployment's Records for hosts in space:
+// the space's federated center when clustered, else the single
+// registry. A durability shortfall is not an error here — the write
+// landed locally and already surfaced as a cluster.degraded event.
+type records struct {
+	m     *Middleware
+	space string
+}
+
+// records returns the Records of hosts in space.
+func (m *Middleware) records(space string) records { return records{m: m, space: space} }
+
+func (r records) center(space string) (*cluster.Center, bool) {
+	if r.m.Cluster == nil {
+		return nil, false
 	}
-	if factory, ok := rt.Engine.Factory(appName); ok {
-		inst := factory(host)
-		return m.registerApp(ctx, registry.AppRecord{
-			Name: appName, Host: host, Space: rt.Space,
-			Description: inst.Description(), Components: inst.Components(),
-		})
+	return r.m.Cluster.Center(space)
+}
+
+func (r records) RegisterApp(ctx context.Context, rec registry.AppRecord) error {
+	if center, ok := r.center(r.space); ok {
+		return ignoreNotDurable(center.RegisterApp(ctx, rec))
 	}
-	return m.InstallBundle(ctx, appName, host)
+	return r.m.Registry.RegisterApp(rec)
+}
+
+func (r records) UnregisterApp(ctx context.Context, appName, host string) error {
+	if center, ok := r.center(r.space); ok {
+		return ignoreNotDurable(center.UnregisterApp(ctx, appName, host))
+	}
+	return r.m.Registry.UnregisterApp(appName, host)
+}
+
+// GetBundle prefers the space's own center (federation replication makes
+// any center equivalent once converged; mid-replication the local one is
+// what the host can reach), then walks the others.
+func (r records) GetBundle(ctx context.Context, name string) ([]byte, bool, error) {
+	if r.m.Cluster == nil {
+		return r.m.Registry.GetBundle(name)
+	}
+	for _, space := range append([]string{r.space}, r.m.Cluster.Spaces()...) {
+		center, ok := r.center(space)
+		if !ok {
+			continue
+		}
+		raw, found, err := center.GetBundle(ctx, name)
+		if err != nil || found {
+			return raw, found, err
+		}
+	}
+	return nil, false, nil
+}
+
+// PutBundle stores at the first space's center, whence it replicates
+// everywhere.
+func (r records) PutBundle(ctx context.Context, name string, raw []byte) error {
+	if r.m.Cluster != nil {
+		for _, space := range r.m.Cluster.Spaces() {
+			if center, ok := r.center(space); ok {
+				return ignoreNotDurable(center.PutBundle(ctx, name, raw))
+			}
+		}
+	}
+	return r.m.Registry.PutBundle(name, raw)
 }

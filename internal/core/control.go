@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"mdagent/internal/ctl"
-	"mdagent/internal/migrate"
 	"mdagent/internal/obs"
 	"mdagent/internal/registry"
 	"mdagent/internal/state"
@@ -14,30 +13,25 @@ import (
 )
 
 // ControlBackend exposes the full deployment to the versioned control
-// plane: lifecycle (run/stop/migrate by name), introspection (members +
-// incarnations, registry records joined with snapshot heads, replicator
-// stats), and the kernel as the Watch event source. cmd daemons build
-// their own narrower backends; this one is the in-process reference.
+// plane: the shared host lifecycle (LifecycleBackend over every
+// provisioned host; a stop or migrate that omits the host finds the app),
+// introspection (members + incarnations, registry records joined with
+// snapshot heads, replicator stats), and the kernel as the Watch event
+// source.
 func (m *Middleware) ControlBackend() ctl.Backend {
-	return ctl.Backend{
-		Info: func(context.Context) (ctl.ServerInfo, error) {
-			return ctl.ServerInfo{Role: "middleware"}, nil
-		},
-		Members:       m.ctlMembers,
-		Apps:          m.ctlApps,
-		Snapshots:     m.ctlSnapshots,
-		Stats:         m.ctlStats,
-		RunApp:        m.ctlRunApp,
-		StopApp:       m.ctlStopApp,
-		Migrate:       m.ctlMigrate,
-		Install:       m.ctlInstall,
-		PushBundle:    m.PushBundle,
-		ListBundles:   m.ctlListBundles,
-		InstallBundle: m.InstallBundle,
-		Metrics:       ObsMetrics,
-		Trace:         ObsTrace,
-		Kernel:        m.Kernel,
+	b := LifecycleBackend(m.resolve, m.bundleGate(), m.records("").PutBundle)
+	b.Info = func(context.Context) (ctl.ServerInfo, error) {
+		return ctl.ServerInfo{Role: "middleware"}, nil
 	}
+	b.Members = m.ctlMembers
+	b.Apps = m.ctlApps
+	b.Snapshots = m.ctlSnapshots
+	b.Stats = m.ctlStats
+	b.ListBundles = m.ctlListBundles
+	b.Metrics = ObsMetrics
+	b.Trace = ObsTrace
+	b.Kernel = m.Kernel
+	return b
 }
 
 // ObsMetrics is the shared ctl.Backend.Metrics implementation: a
@@ -172,59 +166,4 @@ func (m *Middleware) ctlStats(context.Context) ([]ctl.HostStats, error) {
 		out = append(out, ctl.HostStats{Host: host, Stats: rt.Replicator.Stats()})
 	}
 	return out, nil
-}
-
-// ctlRunApp runs an app by name on a host: the host must hold an
-// installed skeleton factory for it (the facade's typed RunApp covers
-// arbitrary constructed instances).
-func (m *Middleware) ctlRunApp(ctx context.Context, appName, host string) error {
-	rt, ok := m.Host(host)
-	if !ok {
-		return fmt.Errorf("core: %w: %q", ctl.ErrUnknownHost, host)
-	}
-	factory, ok := rt.Engine.Factory(appName)
-	if !ok {
-		return fmt.Errorf("core: %w: no skeleton for %q installed on %s", ctl.ErrAppNotFound, appName, host)
-	}
-	return m.RunApp(ctx, host, factory(host))
-}
-
-// ctlStopApp stops an app on host; "" locates the host running it.
-func (m *Middleware) ctlStopApp(ctx context.Context, appName, host string) error {
-	if host == "" {
-		var ok bool
-		if _, host, ok = m.FindApp(appName); !ok {
-			return fmt.Errorf("core: %w: %q is not running anywhere", ctl.ErrAppNotFound, appName)
-		}
-	}
-	return m.StopApp(ctx, host, appName)
-}
-
-func (m *Middleware) ctlMigrate(ctx context.Context, req ctl.MigrateRequest) (ctl.MigrateResult, error) {
-	binding := migrate.BindingAdaptive
-	if req.Static {
-		binding = migrate.BindingStatic
-	}
-	_, from, _ := m.FindApp(req.App)
-	// An explicit source host must match reality — the documented
-	// contract (and the daemon backend's behavior): migrating "x from
-	// hostA" when x runs on hostC is an error, not a silent migration
-	// from hostC.
-	if req.Host != "" {
-		if _, ok := m.Host(req.Host); !ok {
-			return ctl.MigrateResult{}, fmt.Errorf("core: %w: %q", ctl.ErrUnknownHost, req.Host)
-		}
-		if from != req.Host {
-			return ctl.MigrateResult{}, fmt.Errorf("core: %w: %q is not running on %s", ctl.ErrAppNotFound, req.App, req.Host)
-		}
-	}
-	rep, err := m.Migrate(ctx, req.App, req.To, binding)
-	if err != nil {
-		return ctl.MigrateResult{}, err
-	}
-	return ctl.MigrateResult{
-		App: req.App, From: from, To: req.To,
-		Suspend: rep.Suspend, Migrate: rep.Migrate, Resume: rep.Resume,
-		BytesMoved: rep.BytesMoved, Carried: rep.Carried, Delta: rep.Delta,
-	}, nil
 }

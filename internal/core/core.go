@@ -104,18 +104,6 @@ const (
 	TopicClusterDegraded = ctxkernel.TopicClusterDegraded
 )
 
-// HostRuntime is everything MDAgent runs on one host.
-type HostRuntime struct {
-	Host      string
-	Space     string
-	Engine    *migrate.Engine
-	Container *platform.Container
-	Library   *media.Library
-	// Replicator streams this host's application snapshots to its space
-	// center (nil unless Config.Cluster.ReplicateState).
-	Replicator *state.Replicator
-}
-
 // Middleware is one MDAgent deployment.
 type Middleware struct {
 	cfg Config
@@ -206,7 +194,7 @@ func New(cfg Config) (*Middleware, error) {
 		Classifier: ctxkernel.NewClassifier(),
 		Monitor:    ctxkernel.NewMonitor(ctxkernel.NewKernel()), // replaced below
 		Predictor:  ctxkernel.NewPredictor(),
-		Platform:   platform.NewPlatform(fab, net),
+		Platform:   platform.NewPlatform(fab),
 		hosts:      make(map[string]*HostRuntime),
 		db:         db,
 	}
@@ -307,32 +295,23 @@ func (m *Middleware) AddHost(host, spaceName string, profile netsim.HostProfile,
 	}
 	media.ServeLibrary(lib, mediaEp)
 
-	rt := &HostRuntime{Host: host, Space: spaceName, Engine: eng, Container: cont, Library: lib}
+	rt := &HostRuntime{
+		Host: host, Space: spaceName, Engine: eng, Container: cont, Library: lib,
+		Records: m.records(spaceName), Kernel: m.Kernel, Clock: m.Clock, Bundles: m.bundleGate(),
+		knows: func(h string) bool { _, ok := m.Host(h); return ok },
+	}
 	if center != nil && m.Cluster.Config().ReplicateState {
 		ccfg := m.Cluster.Config()
 		// RebaseEvery sits above the center's compaction threshold on
 		// purpose: the center folds chains into fresh bases locally (no
 		// wire cost), so the publisher's own full-frame re-baseline is a
 		// safety net, not the steady-state bound.
-		rep := state.NewReplicator(host, spaceName, eng.Apps, center, m.Clock,
+		rt.Replicate(state.NewReplicator(host, spaceName, eng.Apps, center, m.Clock,
 			ccfg.ReplicateInterval, state.Tuning{
 				RebaseEvery:       2 * ccfg.MaxDeltaChain,
 				BudgetBytesPerSec: ccfg.ReplicateBudget,
 				FullFrames:        ccfg.FullSnapshotFrames,
-			})
-		rep.OnPublish(func(put state.SnapshotPut, stamp state.SnapshotStamp) {
-			kind := "full"
-			if put.Delta {
-				kind = "delta"
-			}
-			m.Kernel.PublishTyped("state", ctxkernel.StateReplicatedEvent{
-				App: put.App, Host: put.Host, FrameKind: kind,
-				Seq: stamp.Seq, Bytes: len(put.Frame), Chain: stamp.Chain,
-				At: put.At,
-			})
-		})
-		rep.Start()
-		rt.Replicator = rep
+			}))
 	}
 	m.mu.Lock()
 	m.hosts[host] = rt
@@ -710,103 +689,51 @@ func (m *Middleware) AddUser(user, badge, room string) error {
 	return m.Field.AddBadge(badge, user, room)
 }
 
+// resolve is the in-process deployment's HostResolver: a named host must
+// be provisioned, and an omitted one is wherever app runs.
+func (m *Middleware) resolve(host, appName string) (*HostRuntime, error) {
+	if host == "" && appName != "" {
+		var ok bool
+		if _, host, ok = m.FindApp(appName); !ok {
+			return nil, fmt.Errorf("core: %w: %q is not running anywhere", ctl.ErrAppNotFound, appName)
+		}
+	}
+	rt, ok := m.Host(host)
+	if !ok {
+		return nil, fmt.Errorf("core: %w: %q", ctl.ErrUnknownHost, host)
+	}
+	return rt, nil
+}
+
 // RunApp starts a constructed application on a host and registers it.
 func (m *Middleware) RunApp(ctx context.Context, host string, inst *app.Application) error {
-	rt, ok := m.Host(host)
-	if !ok {
-		return fmt.Errorf("core: %w: %q", ctl.ErrUnknownHost, host)
-	}
-	if err := rt.Engine.Run(inst); err != nil {
+	rt, err := m.resolve(host, "")
+	if err != nil {
 		return err
 	}
-	if rt.Replicator != nil {
-		// A restart after a graceful stop lifts the snapshot retirement.
-		rt.Replicator.Reinstate(inst.Name())
-	}
-	if err := m.registerApp(ctx, registry.AppRecord{
-		Name: inst.Name(), Host: host, Space: rt.Space,
-		Description: inst.Description(), Components: inst.Components(),
-		Running: true,
-	}); err != nil {
-		return err
-	}
-	m.Kernel.PublishTyped("core", ctxkernel.AppStartedEvent{
-		App: inst.Name(), Host: host, At: m.Clock.Now(),
-	})
-	return nil
+	return rt.Run(ctx, inst)
 }
 
-// StopApp gracefully stops a running application on a host: the instance
-// is suspended and removed from the engine, its replicated snapshot is
-// tombstoned (so failover never resurrects a deliberately stopped app),
-// and its registry record is unregistered — federation-wide when
-// clustered.
+// StopApp gracefully stops a running application on a host (see
+// HostRuntime.Stop).
 func (m *Middleware) StopApp(ctx context.Context, host, appName string) error {
-	rt, ok := m.Host(host)
-	if !ok {
-		return fmt.Errorf("core: %w: %q", ctl.ErrUnknownHost, host)
-	}
-	// Remove from the engine LAST: if retiring or unregistering fails
-	// mid-way, the app must stay addressable so a retried StopApp can
-	// complete the tombstone path instead of erroring on a ghost.
-	inst, ok := rt.Engine.App(appName)
-	if !ok {
-		return fmt.Errorf("core: %w: no running app %q on %s", ctl.ErrAppNotFound, appName, host)
-	}
-	if inst.State() == app.Running {
-		if err := inst.Suspend(); err != nil {
-			return err
-		}
-	}
-	ctx, cancel := context.WithTimeout(ctx, 15*time.Second)
-	defer cancel()
-	stopRecords := func() error {
-		if m.Cluster != nil {
-			if center, ok := m.Cluster.Center(rt.Space); ok {
-				if rt.Replicator != nil {
-					if err := ignoreNotDurable(rt.Replicator.Retire(ctx, appName)); err != nil {
-						return err
-					}
-				}
-				return ignoreNotDurable(center.UnregisterApp(ctx, appName, host))
-			}
-		}
-		return m.Registry.UnregisterApp(appName, host)
-	}
-	if err := stopRecords(); err != nil {
+	rt, err := m.resolve(host, "")
+	if err != nil {
 		return err
 	}
-	rt.Engine.Remove(appName)
-	m.Kernel.PublishTyped("core", ctxkernel.AppStoppedEvent{
-		App: appName, Host: host, At: m.Clock.Now(),
-	})
-	return nil
-}
-
-// registerApp records an installation at the host's space center when
-// clustered, else at the single registry center.
-func (m *Middleware) registerApp(ctx context.Context, rec registry.AppRecord) error {
-	if m.Cluster != nil {
-		if center, ok := m.Cluster.Center(rec.Space); ok {
-			return ignoreNotDurable(center.RegisterApp(ctx, rec))
-		}
-	}
-	return m.Registry.RegisterApp(rec)
+	return rt.Stop(ctx, appName)
 }
 
 // InstallApp provisions an application skeleton factory on a host (the
 // "application exists at destination" case) and records the installed
 // components at the registry.
 func (m *Middleware) InstallApp(ctx context.Context, host, appName string, desc wsdl.Description, components []string, factory func(host string) *app.Application) error {
-	rt, ok := m.Host(host)
-	if !ok {
-		return fmt.Errorf("core: %w: %q", ctl.ErrUnknownHost, host)
+	rt, err := m.resolve(host, "")
+	if err != nil {
+		return err
 	}
-	rt.Engine.InstallFactory(appName, factory)
-	return m.registerApp(ctx, registry.AppRecord{
-		Name: appName, Host: host, Space: rt.Space,
-		Description: desc, Components: components,
-	})
+	rt.AddSkeleton(appName, Skeleton{Description: desc, Components: components, Factory: factory})
+	return rt.Install(ctx, appName)
 }
 
 // RegisterResource records a resource in the registry center — the
@@ -879,34 +806,14 @@ func (m *Middleware) Walk(ctx context.Context, script sensor.Script) error {
 }
 
 // Migrate follow-mes a running application to destHost with the given
-// binding mode, planning against the deployment's catalog, and reports
-// the outcome on the kernel as a typed app.migrated / app.migrate-failed
-// event — the control plane's migration entry point, sharing the agents'
-// event contract so a Watch stream sees operator- and agent-driven moves
-// identically.
+// binding mode, planning against the deployment's catalog (see
+// HostRuntime.Migrate for the events it publishes).
 func (m *Middleware) Migrate(ctx context.Context, appName, destHost string, binding migrate.BindingMode) (migrate.Report, error) {
-	_, srcHost, ok := m.FindApp(appName)
-	if !ok {
-		return migrate.Report{}, fmt.Errorf("core: %w: %q is not running anywhere", ctl.ErrAppNotFound, appName)
-	}
-	if _, ok := m.Host(destHost); !ok {
-		return migrate.Report{}, fmt.Errorf("core: %w: %q", ctl.ErrUnknownHost, destHost)
-	}
-	rt, _ := m.Host(srcHost)
-	rep, err := rt.Engine.FollowMe(ctx, appName, destHost, binding, owl.MatchSemantic)
-	now := m.Clock.Now()
+	rt, err := m.resolve("", appName)
 	if err != nil {
-		m.Kernel.PublishTyped("core", ctxkernel.AppMigrateFailedEvent{
-			App: appName, Dest: destHost, Reason: "control plane", Error: err.Error(), At: now,
-		})
 		return migrate.Report{}, err
 	}
-	m.Kernel.PublishTyped("core", ctxkernel.AppMigratedEvent{
-		App: appName, Dest: destHost, Mode: migrate.FollowMe.String(), Reason: "control plane",
-		SuspendMs: rep.Suspend.Milliseconds(), MigrateMs: rep.Migrate.Milliseconds(),
-		ResumeMs: rep.Resume.Milliseconds(), Bytes: rep.BytesMoved, At: now,
-	})
-	return rep, nil
+	return rt.Migrate(ctx, appName, destHost, binding)
 }
 
 // WaitAppOn blocks until the app runs on host, the timeout expires, or

@@ -5,16 +5,11 @@
 // FIPA-flavoured ACL messages, JADE-style behaviours scheduled on a
 // per-agent goroutine, agent lifecycle management (start / suspend /
 // resume / kill), containers with an AMS (agent directory) and DF (service
-// directory), remote messaging over internal/transport, and the mobility
-// service that moves agents between containers.
+// directory), and remote messaging over internal/transport.
 //
-// Code mobility substitution (see DESIGN.md §3.1): Go cannot ship compiled
-// code, so agent migration is state-only — a moving agent is snapshotted,
-// its registered type name plus state (plus, when the destination lacks
-// the type, a synthetic "code image" sized like the real code) is
-// transferred, and the destination re-instantiates it from a factory
-// registry. This preserves the byte counts and phase structure the paper's
-// evaluation measures.
+// Agents themselves never move: application mobility, with its code
+// images and state transfer, belongs to internal/migrate (DESIGN.md
+// §3.1).
 package platform
 
 import (
