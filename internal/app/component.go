@@ -48,6 +48,13 @@ func (k ComponentKind) String() string {
 
 // Component is a migratable application part: it must name itself, report
 // its payload size (for transfer costing) and serialize round-trip.
+//
+// Payloads are immutable once handed over, so capture and restore copy
+// nothing. The bytes Snapshot returns are read-only: they may be the
+// component's own payload, shared with earlier snapshots and with wraps
+// in flight. Restore may retain its argument, so the caller must not
+// write into it afterwards. A component that changes its content swaps
+// in a new payload rather than writing into the old one.
 type Component interface {
 	Name() string
 	Kind() ComponentKind
@@ -84,17 +91,48 @@ var (
 	_ ChangeNotifier = (*BlobComponent)(nil)
 )
 
-// NewBlob creates a blob component with the given payload.
+// NewBlob creates a blob component holding data, which it retains:
+// the caller must not write into data afterwards.
 func NewBlob(name string, kind ComponentKind, data []byte) *BlobComponent {
 	return &BlobComponent{name: name, kind: kind, data: data}
 }
 
+// Sized-blob content: byte i of a blob named name is
+// byte(i*131 + len(name)). It repeats every sizedPeriod bytes, and
+// because 131 is odd, j -> byte(j*131) takes every byte value once per
+// period, so each name length's content is a window of byte(j*131)
+// starting inside the first period.
+const (
+	sizedPeriod = 256
+	// maxSharedSized bounds the blobs served from the one shared
+	// pattern (every demo application's are); larger ones are built
+	// from it by copying.
+	maxSharedSized = 1 << 20
+)
+
+// sizedPattern holds byte(j*131) for j < maxSharedSized+sizedPeriod.
+// Blobs slice it without copying, so it must never be written.
+var sizedPattern = sync.OnceValue(func() []byte {
+	p := make([]byte, maxSharedSized+sizedPeriod)
+	for j := range p {
+		p[j] = byte(j * 131)
+	}
+	return p
+})
+
 // NewSizedBlob creates a blob of size bytes of deterministic content,
-// convenient for synthetic logic/UI/data payloads.
+// convenient for synthetic logic/UI/data payloads. Blobs up to 1 MiB
+// share one read-only buffer instead of synthesizing their bytes.
 func NewSizedBlob(name string, kind ComponentKind, size int64) *BlobComponent {
+	p := sizedPattern()
+	off := int64(bytes.IndexByte(p[:sizedPeriod], byte(len(name))))
+	if size <= maxSharedSized {
+		return NewBlob(name, kind, p[off:off+size:off+size])
+	}
+	window := p[off : off+maxSharedSized] // a whole number of periods
 	data := make([]byte, size)
-	for i := range data {
-		data[i] = byte(i*131 + len(name))
+	for n := int64(0); n < size; n += maxSharedSized {
+		copy(data[n:], window)
 	}
 	return NewBlob(name, kind, data)
 }
@@ -120,18 +158,18 @@ func (b *BlobComponent) Checksum() [32]byte {
 	return sha256.Sum256(b.data)
 }
 
-// Snapshot implements Component.
+// Snapshot implements Component. It returns the held payload itself,
+// which the caller must treat as read-only.
 func (b *BlobComponent) Snapshot() ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	cp := make([]byte, len(b.data))
-	copy(cp, b.data)
-	return cp, nil
+	return b.data, nil
 }
 
-// SetContent replaces the payload in place — a media app swapping its
-// buffer, an editor saving a document. The mutation bumps the owning
-// application's dirty counter so the next state capture ships it.
+// SetContent replaces the payload — a media app swapping its buffer, an
+// editor saving a document. It copies data, which stays the caller's.
+// The mutation bumps the owning application's dirty counter so the next
+// state capture ships it.
 func (b *BlobComponent) SetContent(data []byte) {
 	b.mu.Lock()
 	b.data = make([]byte, len(data))
@@ -143,11 +181,10 @@ func (b *BlobComponent) SetContent(data []byte) {
 	}
 }
 
-// Restore implements Component.
+// Restore implements Component. It adopts state without copying.
 func (b *BlobComponent) Restore(state []byte) error {
 	b.mu.Lock()
-	b.data = make([]byte, len(state))
-	copy(b.data, state)
+	b.data = state
 	fn := b.onChange
 	b.mu.Unlock()
 	if fn != nil {

@@ -21,12 +21,12 @@ package state
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
 
 	"mdagent/internal/app"
+	"mdagent/internal/transport"
 )
 
 // Codec errors, wrapped with frame detail.
@@ -77,18 +77,21 @@ var magic = [4]byte{'M', 'D', 'S', 'T'}
 // headerLen = magic(4) + version(1) + kind(1) + crc32(4).
 const headerLen = 10
 
-// encodeFrame gob-encodes payload and prepends the framing header.
+// encodeFrame gob-encodes payload and prepends the framing header. The
+// body goes through the transport payload codec, whose output is byte
+// for byte what a fresh gob.Encoder writes, so frames and their CRCs
+// are those of plain gob.
 func encodeFrame(kind frameKind, payload any) ([]byte, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(payload); err != nil {
+	body, err := transport.Encode(payload)
+	if err != nil {
 		return nil, fmt.Errorf("state: encode frame: %w", err)
 	}
-	frame := make([]byte, headerLen, headerLen+body.Len())
+	frame := make([]byte, headerLen, headerLen+len(body))
 	copy(frame[0:4], magic[:])
 	frame[4] = frameVersion
 	frame[5] = byte(kind)
-	binary.BigEndian.PutUint32(frame[6:10], crc32.ChecksumIEEE(body.Bytes()))
-	return append(frame, body.Bytes()...), nil
+	binary.BigEndian.PutUint32(frame[6:10], crc32.ChecksumIEEE(body))
+	return append(frame, body...), nil
 }
 
 // verifyFrame validates the header and payload checksum, returning the
@@ -113,13 +116,13 @@ func verifyFrame(raw []byte, kind frameKind) ([]byte, error) {
 }
 
 // decodeFrame verifies the header and checksum, then gob-decodes the
-// payload into out.
+// payload into out through the transport payload codec.
 func decodeFrame(raw []byte, kind frameKind, out any) error {
 	body, err := verifyFrame(raw, kind)
 	if err != nil {
 		return err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(out); err != nil {
+	if err := transport.Decode(body, out); err != nil {
 		return fmt.Errorf("state: decode frame: %w", err)
 	}
 	return nil
